@@ -74,7 +74,8 @@
 //   field is narrow enough (l <= 16) and scalar otherwise — results are
 //   bit-identical either way
 //
-// Fault injection (distributed `path` runs only; see docs/RESILIENCE.md):
+// Fault injection (distributed `path` and `motif` runs; see
+// docs/RESILIENCE.md):
 //   --fault-kill=RANK@EVENT  kill a world rank at its Nth comm event
 //                            (repeatable via comma list: 1@40,3@12)
 //   --fault-drop=P --fault-delay=P --fault-corrupt=P
@@ -83,7 +84,7 @@
 //   --fault-seed=S           seed for the deterministic fault schedule
 //   --supervise              supervised run_spmd even with no fault plan
 //
-// Checkpoint/restart & watchdog (distributed `path` runs; see
+// Checkpoint/restart & watchdog (distributed `path` and `motif` runs; see
 // docs/RESILIENCE.md):
 //   --checkpoint-dir=DIR     snapshot round-level state into DIR
 //   --checkpoint-every=R     snapshot cadence in completed rounds (default 1)
@@ -204,6 +205,53 @@ core::CheckpointConfig checkpoint_options(const Args& args,
   return ck;
 }
 
+/// Options of a distributed (--ranks > 1) run: detection parameters, rank
+/// geometry, kernel, fault plan, watchdog and checkpointing.
+core::MidasOptions midas_options(const Args& args, int k,
+                                 const Xoshiro256& rng) {
+  core::MidasOptions opt;
+  opt.k = k;
+  opt.epsilon = args.get_double("epsilon", 1e-4);
+  opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  opt.n_ranks = static_cast<int>(args.get_int("ranks", 1));
+  opt.n1 = static_cast<int>(args.get_int("n1", std::min(opt.n_ranks, 4)));
+  opt.n2 = static_cast<std::uint32_t>(args.get_int("n2", 32));
+  opt.kernel = kernel_option(args);
+  opt.spmd = fault_options(args);
+  opt.checkpoint = checkpoint_options(args, rng);
+  return opt;
+}
+
+/// The answer of a distributed run, with its resume, watchdog and fault
+/// reports.
+void print_distributed(const core::MidasResult& res,
+                       const core::MidasOptions& opt) {
+  if (res.resumed_from_round >= 0)
+    std::printf("resumed: round %d (snapshot dir %s)\n",
+                res.resumed_from_round, opt.checkpoint.dir.c_str());
+  std::printf("answer: %s   (N=%d N1=%d N2=%u; modeled %.3f ms, wall "
+              "%.0f ms)\n",
+              res.found ? "YES" : "no", opt.n_ranks, opt.n1, opt.n2,
+              res.vtime * 1e3, res.wall_s * 1e3);
+  const auto& st = res.total_stats;
+  if (st.stragglers_flagged > 0)
+    std::printf("watchdog: %llu straggler flag(s), %.3f ms modeled lag, "
+                "%llu heartbeat(s)\n",
+                static_cast<unsigned long long>(st.stragglers_flagged),
+                st.t_straggle * 1e3,
+                static_cast<unsigned long long>(st.watchdog_heartbeats));
+  if (!res.failed_ranks.empty()) {
+    std::printf("faults: lost rank(s)");
+    for (int r : res.failed_ranks) std::printf(" %d", r);
+    std::printf("; survivors failed over (drops=%llu corrupt=%llu "
+                "delayed=%llu retransmits=%llu)\n",
+                static_cast<unsigned long long>(st.messages_dropped),
+                static_cast<unsigned long long>(st.messages_corrupted),
+                static_cast<unsigned long long>(st.messages_delayed),
+                static_cast<unsigned long long>(st.retransmissions));
+  }
+}
+
 int run_path(const Args& args) {
   Xoshiro256 rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto g = load_graph(args, rng);
@@ -217,45 +265,11 @@ int run_path(const Args& args) {
   Timer t;
   bool found = false;
   if (ranks > 1) {
-    core::MidasOptions opt;
-    opt.k = k;
-    opt.epsilon = args.get_double("epsilon", 1e-4);
-    opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    opt.n_ranks = ranks;
-    opt.n1 = static_cast<int>(args.get_int("n1", std::min(ranks, 4)));
-    opt.n2 = static_cast<std::uint32_t>(args.get_int("n2", 32));
-    opt.kernel = kernel_option(args);
-    opt.spmd = fault_options(args);
-    opt.checkpoint = checkpoint_options(args, rng);
+    const core::MidasOptions opt = midas_options(args, k, rng);
     const auto part = partition::multilevel_partition(g, opt.n1);
     const auto res = core::midas_kpath(g, part, opt, f);
     found = res.found;
-    if (res.resumed_from_round >= 0)
-      std::printf("resumed: round %d (snapshot dir %s)\n",
-                  res.resumed_from_round, opt.checkpoint.dir.c_str());
-    std::printf("answer: %s   (N=%d N1=%d N2=%u; modeled %.3f ms, wall "
-                "%.0f ms)\n",
-                found ? "YES" : "no", ranks, opt.n1, opt.n2,
-                res.vtime * 1e3, res.wall_s * 1e3);
-    if (res.total_stats.stragglers_flagged > 0)
-      std::printf(
-          "watchdog: %llu straggler flag(s), %.3f ms modeled lag, "
-          "%llu heartbeat(s)\n",
-          static_cast<unsigned long long>(res.total_stats.stragglers_flagged),
-          res.total_stats.t_straggle * 1e3,
-          static_cast<unsigned long long>(
-              res.total_stats.watchdog_heartbeats));
-    if (!res.failed_ranks.empty()) {
-      std::printf("faults: lost rank(s)");
-      for (int r : res.failed_ranks) std::printf(" %d", r);
-      const auto& st = res.total_stats;
-      std::printf("; survivors failed over (drops=%llu corrupt=%llu "
-                  "delayed=%llu retransmits=%llu)\n",
-                  static_cast<unsigned long long>(st.messages_dropped),
-                  static_cast<unsigned long long>(st.messages_corrupted),
-                  static_cast<unsigned long long>(st.messages_delayed),
-                  static_cast<unsigned long long>(st.retransmissions));
-    }
+    print_distributed(res, opt);
   } else {
     core::DetectOptions opt;
     opt.k = k;
@@ -420,21 +434,11 @@ int run_motif(const Args& args) {
   Timer t;
   bool found = false;
   if (ranks > 1) {
-    core::MidasOptions opt;
-    opt.k = k;
-    opt.epsilon = args.get_double("epsilon", 1e-4);
-    opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    opt.n_ranks = ranks;
-    opt.n1 = static_cast<int>(args.get_int("n1", std::min(ranks, 4)));
-    opt.n2 = static_cast<std::uint32_t>(args.get_int("n2", 32));
-    opt.kernel = kernel_option(args);
+    const core::MidasOptions opt = midas_options(args, k, rng);
     const auto part = partition::multilevel_partition(g, opt.n1);
     const auto res = core::midas_motif(g, part, colors, motif, opt, f);
     found = res.found;
-    std::printf("answer: %s   (N=%d N1=%d N2=%u; modeled %.3f ms, wall "
-                "%.0f ms)\n",
-                found ? "YES" : "no", ranks, opt.n1, opt.n2,
-                res.vtime * 1e3, res.wall_s * 1e3);
+    print_distributed(res, opt);
   } else {
     core::DetectOptions opt;
     opt.k = k;

@@ -3,19 +3,23 @@
 // Structure (Fig. 1): N ranks are split into a = N/N1 phase groups of N1
 // ranks; each group owns a full copy of the graph partition (rank g*N1+s
 // owns part s) and processes every a-th phase. A phase evaluates N2
-// consecutive iterations at once: per-vertex DP values become contiguous
-// N2-wide vectors, and each of the k-1 halo exchanges per phase ships one
-// batched message per neighboring part instead of N2 small ones — the
-// batching/cache optimization of Section IV-B.
+// consecutive iterations at once, so each halo exchange ships one batched
+// message per neighboring part instead of N2 small ones (Section IV-B).
+//
+// Every application is one k-MLD evaluation on that schedule (Problem 3),
+// so one driver (detail::run_driver) owns the rounds, phase waves,
+// checkpoints, failover and speculation of all of them; an engine supplies
+// only its recurrence, written once against a lane layout.
 //
 // Every rank's compute and communication are charged to its virtual clock
-// (see runtime/cost_model.hpp), so the returned makespan is the modeled
+// (runtime/cost_model.hpp), so the returned makespan is the modeled
 // parallel runtime; results are bit-identical to the sequential detectors
 // for the same seed because all randomness is hash-derived and the final
 // accumulator is an XOR (order-independent) allreduce.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <iterator>
@@ -43,10 +47,10 @@ namespace midas::core {
 
 /// Durable-progress configuration (runtime/checkpoint.hpp). With a
 /// non-empty `dir`, every driver snapshots its state at round boundaries
-/// (and, for the clean k-path engine, optionally every `every_waves` phase
-/// waves within a round); `resume = true` restores the newest verified
-/// snapshot and continues from it, reproducing the uninterrupted run's
-/// results bit-exactly. Snapshot rendezvous are charge-free, so enabling
+/// (and, on unsupervised runs, optionally every `every_waves` phase waves
+/// within a round); `resume = true` restores the newest verified snapshot
+/// and continues from it, reproducing the uninterrupted run's results
+/// bit-exactly. Snapshot rendezvous are charge-free, so enabling
 /// checkpoints never changes virtual clocks or the fault schedule.
 struct CheckpointConfig {
   std::string dir;               // empty = checkpointing disabled
@@ -62,15 +66,11 @@ struct CheckpointConfig {
 };
 
 /// Precomputed per-(seed, k) randomness for the k-path engine: the Z2^k
-/// vectors v_i and per-level field coefficients r_{i,j} of every round,
-/// laid out exactly as the engine consumes them (one array per (round,
-/// part), level-major coefficients). The values are produced by the same
-/// v_vector/field_coeff hashes the engine would otherwise evaluate on the
-/// fly, so a run with tables is bit-identical to one without — the tables
-/// only trade memory for the per-round hashing, which is what lets a query
-/// service amortize them across repeated (graph, seed, k) workloads.
-/// Coefficients are stored widened to 64 bits so one table type serves
-/// every field; the engine narrows back to its value_type on load.
+/// vectors v_i and level coefficients r_{i,j} of every (round, part),
+/// exactly the values the engine would hash on the fly — the tables only
+/// trade memory for per-round hashing, which a query service amortizes
+/// across repeated (graph, seed, k) workloads. Coefficients are widened to
+/// 64 bits so one table type serves every field.
 struct RandTables {
   std::uint64_t seed = 0;
   int k = 0;
@@ -83,17 +83,31 @@ struct RandTables {
 
   [[nodiscard]] const std::vector<std::uint32_t>& v_of(int round,
                                                        int part) const {
-    return v[static_cast<std::size_t>(round) *
-                 static_cast<std::size_t>(parts) +
-             static_cast<std::size_t>(part)];
+    return v[static_cast<std::size_t>(round * parts + part)];
   }
   [[nodiscard]] const std::vector<std::uint64_t>& coeff_of(int round,
                                                            int part) const {
-    return coeff[static_cast<std::size_t>(round) *
-                     static_cast<std::size_t>(parts) +
-                 static_cast<std::size_t>(part)];
+    return coeff[static_cast<std::size_t>(round * parts + part)];
   }
 };
+
+/// The k-path randomness of one round on one part: v[li] and the level
+/// coefficients r[(j-1)*nl + li], stored as `C`.
+template <gf::GaloisField F, typename C>
+void path_randomness(const partition::PartView& view, std::uint64_t seed,
+                     int round, int k, const F& f,
+                     std::vector<std::uint32_t>& v, std::vector<C>& r) {
+  const std::size_t nl = view.num_local();
+  v.resize(nl);
+  r.resize(static_cast<std::size_t>(k) * nl);
+  for (std::size_t li = 0; li < nl; ++li) {
+    const graph::VertexId gid = view.vertices[li];
+    v[li] = v_vector(seed, round, gid, k);
+    for (int j = 1; j <= k; ++j)
+      r[static_cast<std::size_t>(j - 1) * nl + li] = static_cast<C>(
+          field_coeff(f, seed, round, gid, static_cast<std::uint32_t>(j)));
+  }
+}
 
 /// Build the randomness tables for `rounds` rounds of a k-path run over
 /// `views` (one entry per part) in field `f`.
@@ -101,33 +115,13 @@ template <gf::GaloisField F>
 [[nodiscard]] RandTables build_rand_tables(
     const std::vector<partition::PartView>& views, std::uint64_t seed, int k,
     int rounds, const F& f) {
-  RandTables rt;
-  rt.seed = seed;
-  rt.k = k;
-  rt.rounds = rounds;
-  rt.parts = static_cast<int>(views.size());
-  const std::size_t slots =
-      static_cast<std::size_t>(rounds) * views.size();
-  rt.v.resize(slots);
-  rt.coeff.resize(slots);
-  for (int round = 0; round < rounds; ++round)
-    for (std::size_t p = 0; p < views.size(); ++p) {
-      const auto& view = views[p];
-      const std::uint32_t nl = view.num_local();
-      auto& vt = rt.v[static_cast<std::size_t>(round) * views.size() + p];
-      auto& ct =
-          rt.coeff[static_cast<std::size_t>(round) * views.size() + p];
-      vt.resize(nl);
-      ct.resize(static_cast<std::size_t>(k) * nl);
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
-        vt[li] = v_vector(seed, round, gid, k);
-        for (int j = 1; j <= k; ++j)
-          ct[static_cast<std::size_t>(j - 1) * nl + li] =
-              static_cast<std::uint64_t>(field_coeff(
-                  f, seed, round, gid, static_cast<std::uint32_t>(j)));
-      }
-    }
+  RandTables rt{seed, k, rounds, static_cast<int>(views.size()), {}, {}};
+  rt.v.resize(static_cast<std::size_t>(rounds) * views.size());
+  rt.coeff.resize(rt.v.size());
+  for (std::size_t i = 0; i < rt.v.size(); ++i)
+    path_randomness(views[i % views.size()], seed,
+                    static_cast<int>(i / views.size()), k, f, rt.v[i],
+                    rt.coeff[i]);
   return rt;
 }
 
@@ -140,26 +134,21 @@ struct MidasOptions {
   std::uint32_t n2 = 16;  // iterations per phase (message batching)
   int max_rounds = 0;     // override epsilon-derived round count if > 0
   bool early_exit = true;
-  // Inner-loop implementation (see detect_seq.hpp). The bit-sliced kernels
-  // charge the same modeled work and ship byte-identical halo payloads as
-  // the scalar ones, so virtual clocks, fault schedules, and checkpoint
-  // snapshots are kernel-independent — a snapshot written under one kernel
-  // resumes under the other bit-exactly.
+  // Inner-loop implementation (see detect_seq.hpp). Both kernels charge the
+  // same modeled work and ship byte-identical halos, so clocks, fault
+  // schedules and snapshots are kernel-independent.
   Kernel kernel = Kernel::kAuto;
   runtime::CostModel model{};
-  // Fault injection & supervision (docs/RESILIENCE.md). Supervision is
-  // forced on whenever the plan is non-empty; the k-path engine then runs
-  // its vote/redo failover protocol and masks any failure that leaves at
-  // least one intact phase group. spmd.watchdog arms the straggler
-  // deadline (and, with speculate, engine-level re-execution of a
-  // straggling phase group on the fast replicas).
+  // Fault injection & supervision (docs/RESILIENCE.md). A non-empty plan
+  // forces supervision: every driver then masks any failure that leaves an
+  // intact phase group. spmd.watchdog arms the straggler deadline (and,
+  // with speculate, re-execution of a straggling group's phases).
   runtime::SpmdOptions spmd{};
   // Checkpoint/restart across *total* failures (docs/RESILIENCE.md).
   CheckpointConfig checkpoint{};
-  // Optional precomputed randomness (non-owning; caller keeps it alive for
-  // the duration of the run). Only the k-path engine consumes it; when set
-  // it must match (seed, k, parts) and cover rounds() rounds. Results are
-  // bit-identical with or without tables.
+  // Optional precomputed randomness (non-owning), consumed by the k-path
+  // recurrence (plain and weighted); it must match (seed, k, parts) and
+  // cover rounds() rounds. Results are bit-identical without it.
   const RandTables* rand_tables = nullptr;
 
   [[nodiscard]] int rounds() const {
@@ -179,22 +168,28 @@ struct MidasResult {
   int resumed_from_round = -1;      // snapshot round this run resumed at
 };
 
+struct MidasScanResult {
+  FeasibilityTable table;
+  double vtime = 0.0;
+  double wall_s = 0.0;
+  runtime::CommStats total_stats;
+  std::vector<double> vclocks;
+  int resumed_from_round = -1;  // snapshot round this run resumed at
+};
+
+struct MidasWeightedResult {
+  std::vector<bool> feasible_weight;  // achievable k-path weights
+  std::optional<std::uint32_t> max_weight;
+  double vtime = 0.0;
+  double wall_s = 0.0;
+  runtime::CommStats total_stats;
+  int resumed_from_round = -1;  // snapshot round this run resumed at
+};
+
 namespace detail {
 
-/// Supervision implied by a non-empty fault plan or armed speculation
-/// (straggler re-execution needs the supervised vote/redo machinery).
-[[nodiscard]] inline runtime::SpmdOptions effective_spmd(
-    const MidasOptions& opt) {
-  runtime::SpmdOptions sopt = opt.spmd;
-  if (!sopt.faults.empty()) sopt.supervise = true;
-  if (sopt.watchdog.speculate && sopt.watchdog.deadline_s > 0.0)
-    sopt.supervise = true;
-  return sopt;
-}
-
 /// Decide scalar vs bitsliced for a driver (the parallel twin of
-/// detail_seq::use_bitsliced, with the typed options error). The weighted
-/// k-path driver is scalar-only and ignores the request.
+/// detail_seq::use_bitsliced, with the typed options error).
 template <typename F>
 [[nodiscard]] inline bool par_use_bitsliced(const F& f, Kernel kernel) {
   if constexpr (gf::Bitsliceable<F>) {
@@ -209,35 +204,24 @@ template <typename F>
   }
 }
 
-/// Fingerprint of everything a snapshot's validity depends on: the engine,
-/// the detection parameters, the rank/phase geometry, the execution mode
-/// (supervised runs charge different virtual time than clean ones) and the
-/// shape of the partitioned input. A resume whose fingerprint differs is
-/// rejected — restoring accumulators into a different configuration would
-/// silently corrupt the answer.
+/// Fingerprint of everything a snapshot's validity depends on: engine,
+/// detection parameters, rank/phase geometry, execution mode and the shape
+/// of the partitioned input. A resume whose fingerprint differs is rejected
+/// — restoring into another configuration would corrupt the answer.
 [[nodiscard]] inline std::uint64_t config_fingerprint(
     std::uint64_t engine_tag, const MidasOptions& opt,
     const runtime::SpmdOptions& sopt, std::size_t value_bytes,
     const std::vector<partition::PartView>& views, std::uint64_t extra = 0) {
-  std::vector<std::uint64_t> w;
-  w.reserve(16 + views.size() * 3);
-  w.push_back(engine_tag);
-  w.push_back(static_cast<std::uint64_t>(opt.k));
-  w.push_back(opt.seed);
   std::uint64_t eps_bits = 0;
   std::memcpy(&eps_bits, &opt.epsilon, sizeof(eps_bits));
-  w.push_back(eps_bits);
-  w.push_back(static_cast<std::uint64_t>(opt.n_ranks));
-  w.push_back(static_cast<std::uint64_t>(opt.n1));
-  w.push_back(opt.n2);
-  w.push_back(static_cast<std::uint64_t>(opt.rounds()));
-  w.push_back(opt.early_exit ? 1 : 0);
-  w.push_back(sopt.supervise ? 1 : 0);
-  w.push_back(sopt.watchdog.speculate && sopt.watchdog.deadline_s > 0.0
-                  ? 1
-                  : 0);
-  w.push_back(static_cast<std::uint64_t>(value_bytes));
-  w.push_back(extra);
+  std::vector<std::uint64_t> w{
+      engine_tag, static_cast<std::uint64_t>(opt.k), opt.seed, eps_bits,
+      static_cast<std::uint64_t>(opt.n_ranks),
+      static_cast<std::uint64_t>(opt.n1), opt.n2,
+      static_cast<std::uint64_t>(opt.rounds()), opt.early_exit ? 1u : 0u,
+      sopt.supervise ? 1u : 0u,
+      sopt.watchdog.speculate && sopt.watchdog.deadline_s > 0.0 ? 1u : 0u,
+      static_cast<std::uint64_t>(value_bytes), extra};
   for (const auto& view : views) {
     w.push_back(view.num_local());
     w.push_back(view.num_ghosts());
@@ -246,9 +230,7 @@ template <typename F>
   return runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(w)));
 }
 
-/// Host-side checkpoint bookkeeping for one driver invocation. The staged
-/// snapshot is filled inside a snapshot_sync callback (every peer parked)
-/// and persisted by world rank 0 immediately after the rendezvous.
+/// Host-side checkpoint bookkeeping for one driver invocation.
 struct CheckpointSession {
   std::optional<runtime::CheckpointStore> store;
   runtime::RoundCheckpoint loaded;  // meaningful when `resumed`
@@ -260,10 +242,9 @@ struct CheckpointSession {
 };
 
 /// Validate the checkpoint config, open the store and — on resume — load
-/// and sanity-check the newest good snapshot, wiring its world state into
-/// `sopt.resume`. `driver_bytes_per_round` is the driver_state stride;
-/// `wave_accum_bytes` is the per-rank accumulator size for mid-round
-/// snapshots (0 = this driver cannot resume mid-round).
+/// and check the newest good snapshot, wiring its world state into
+/// `sopt.resume`. `wave_accum_bytes` is the per-rank accumulator size of a
+/// mid-round snapshot (0 = this run cannot resume mid-round).
 inline CheckpointSession open_checkpoints(const MidasOptions& opt,
                                           runtime::SpmdOptions& sopt,
                                           std::uint64_t config_hash,
@@ -273,8 +254,7 @@ inline CheckpointSession open_checkpoints(const MidasOptions& opt,
   if (!opt.checkpoint.enabled()) return cs;
   require_options(opt.checkpoint.every_rounds >= 1,
                   "checkpoint.every_rounds must be >= 1");
-  require_options(opt.checkpoint.keep >= 1,
-                  "checkpoint.keep must be >= 1");
+  require_options(opt.checkpoint.keep >= 1, "checkpoint.keep must be >= 1");
   cs.store.emplace(opt.checkpoint.dir, opt.checkpoint.keep);
   if (!opt.checkpoint.resume) return cs;
   auto ck = cs.store->load_latest();
@@ -310,45 +290,6 @@ inline CheckpointSession open_checkpoints(const MidasOptions& opt,
   cs.resumed = true;
   return cs;
 }
-
-/// Collective snapshot capture + persist. All world ranks call with the
-/// same arguments; any accumulator staging slots must have been written by
-/// their owning ranks beforehand. Nothing is written if any rank already
-/// failed — a consistent world is a precondition for a resumable one.
-template <typename DriverStateFn>
-void take_snapshot(runtime::Comm& world, CheckpointSession& cs,
-                   std::uint64_t config_hash, int next_round,
-                   std::uint64_t waves_done,
-                   const std::vector<std::uint64_t>& rng_state,
-                   const std::vector<std::vector<std::uint8_t>>& accum_stage,
-                   DriverStateFn&& driver_state) {
-  MIDAS_TRACE_SPAN("checkpoint.snapshot", {"next_round", next_round});
-  world.snapshot_sync([&] {
-    cs.staged_ok = false;
-    if (!world.failed_world_ranks().empty()) return;
-    cs.staged.config_hash = config_hash;
-    cs.staged.next_round = static_cast<std::uint32_t>(next_round);
-    cs.staged.phase_waves_done = waves_done;
-    cs.staged.driver_state = driver_state();
-    cs.staged.accum = accum_stage;
-    cs.staged.vclocks = world.world_vclocks();
-    cs.staged.events = world.world_event_counts();
-    cs.staged.stats = world.world_stats_snapshot();
-    cs.staged.rng_state = rng_state;
-    cs.staged_ok = true;
-  });
-  // Only one rank touches the disk; peers that raced ahead will park at
-  // the next rendezvous until the write returns.
-  if (world.rank() == 0 && cs.staged_ok) (void)cs.store->write(cs.staged);
-}
-
-/// Lanes of the failure-view vote: every rank contributes the hash of its
-/// failed-rank list; after a min/max allreduce, lo == hi iff all survivors
-/// saw the same view.
-struct HashRange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-};
 
 /// Exchange one DP level: for each neighboring part, pack the batch-wide
 /// values of the boundary vertices, alltoallv within the phase group, and
@@ -389,621 +330,568 @@ void halo_exchange(runtime::Comm& comm, const partition::PartView& view,
   }
 }
 
-/// Sum over local vertices and batch lanes, XORed into `total`.
-template <gf::GaloisField F>
-void accumulate_level(const F& f, const std::vector<typename F::value_type>& vals,
-                      std::size_t count, typename F::value_type& total) {
-  for (std::size_t idx = 0; idx < count; ++idx) total = f.add(total, vals[idx]);
-}
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
-// k-path
+// Lane layouts. A *row* holds one value per iteration lane of the current
+// phase (one vertex, layer and weight); recurrences touch rows only through
+// a layout. Every layout ships byte rows in halos and folds to the same
+// field element, so clocks, snapshots and failover are kernel-independent.
 // ---------------------------------------------------------------------------
 
-namespace detail {
+/// The iterations [q0, q0 + batch) of the phase a layout's rows hold.
+/// `batch` is 32-bit so that stores of 64-bit plane words cannot alias it.
+struct PhaseWindow {
+  std::uint64_t q0 = 0;
+  std::uint32_t batch = 0;
+};
 
-/// Shared k-path engine: runs the distributed walk DP over prebuilt part
-/// views. Undirected and directed fronts build their views differently
-/// (symmetric halos vs in-neighbor halos) but share everything else.
+/// Byte rows: one field value per lane, N2 values back to back (the
+/// paper's Section IV-B layout, and the halo payload of every layout).
 template <gf::GaloisField F>
-MidasResult kpath_engine(const std::vector<partition::PartView>& views,
-                         const MidasOptions& opt, const F& f) {
+class ByteLanes : public PhaseWindow {
+ public:
   using V = typename F::value_type;
+  using E = V;     // storage word of a row
+  using Coef = V;  // a constant multiplier prepared by coef()
+  static constexpr const char* kSpan = "engine.phase.scalar";
+
+  explicit ByteLanes(const F& f) : f_(f) {}
+  [[nodiscard]] std::size_t row() const noexcept { return batch; }
+
+  /// Liveness [<v_i, q> = 0] of every (local vertex, lane) of the phase.
+  // Loops copy `batch`: a store through a byte row may alias the member.
+  void set_live(const std::vector<std::uint32_t>& v) {
+    const std::size_t n = batch;
+    live_.resize(v.size() * n);
+    for (std::size_t li = 0; li < v.size(); ++li)
+      for (std::size_t b = 0; b < n; ++b)
+        live_[li * n + b] =
+            !inner_product_odd(v[li], static_cast<std::uint32_t>(q0 + b));
+  }
+  /// dst = c in the live lanes of local vertex li, zero elsewhere.
+  void broadcast(E* dst, V c, std::uint32_t li) const {
+    const std::size_t n = batch;
+    const std::uint8_t* lv = live_.data() + li * n;
+    for (std::size_t b = 0; b < n; ++b) dst[b] = lv[b] ? c : f_.zero();
+  }
+  /// Zero the dead lanes of local vertex li.
+  void gate(E* x, std::uint32_t li) const {
+    const std::size_t n = batch;
+    const std::uint8_t* lv = live_.data() + li * n;
+    for (std::size_t b = 0; b < n; ++b)
+      if (!lv[b]) x[b] = f_.zero();
+  }
+  /// dst[lane] = value(iteration of the lane).
+  template <typename Fn>
+  void set_lanes(E* dst, Fn&& value) const {
+    const std::uint64_t first = q0;
+    for (std::size_t b = 0, n = batch; b < n; ++b)
+      dst[b] = value(static_cast<std::uint32_t>(first + b));
+  }
+
+  [[nodiscard]] Coef coef(V c) const noexcept { return c; }
+  void zero(E* x) const { std::fill(x, x + batch, f_.zero()); }
+  void add(E* dst, const E* src) const {
+    for (std::size_t b = 0, n = batch; b < n; ++b)
+      dst[b] = f_.add(dst[b], src[b]);
+  }
+  /// dst += sum_{i <= z} a_i * b_{z-i} lane-wise, x_i being the i-th row
+  /// from x (z = 0: one product); false when all are known to be zero.
+  bool mul_add(E* dst, const E* a, const E* b, std::size_t z) const {
+    const std::size_t n = batch;
+    for (std::size_t i = 0; i <= z; ++i)
+      gf::mul_add_rows(f_, dst, a + i * n, b + (z - i) * n, n);
+    return true;
+  }
+  /// dst += c * src (one log lookup for the whole row).
+  void scale_add(E* dst, Coef c, const E* src) const {
+    gf::scale_add_row(f_, dst, c, src, batch);
+  }
+  /// XOR of lanes [0, lanes) over `n` rows spaced `step` rows apart.
+  [[nodiscard]] V fold(const E* x, std::size_t n, std::size_t step,
+                       std::size_t lanes) const {
+    V s = f_.zero();
+    for (std::size_t i = 0; i < n; ++i, x += step * batch)
+      for (std::size_t b = 0; b < lanes; ++b) s = f_.add(s, x[b]);
+    return s;
+  }
+  /// Halo exchange of `rows` consecutive rows per vertex.
+  void exchange(runtime::Comm& group, const partition::PartView& view,
+                const std::vector<E>& vals, std::vector<E>& ghost,
+                std::size_t rows) {
+    ghost.assign(static_cast<std::size_t>(view.num_ghosts()) * rows * batch,
+                 f_.zero());
+    halo_exchange(group, view, vals, ghost, rows * batch);
+  }
+
+ private:
+  const F& f_;
+  std::vector<std::uint8_t> live_;
+};
+
+/// Bit-sliced rows (gf/bitsliced.hpp): ceil(N2/64) blocks of l bit-planes,
+/// one liveness mask per block, constants as plane matrices. Halos
+/// transpose boundary rows to bytes and ghosts back to planes.
+template <gf::Bitsliceable F>
+class SlicedLanes : public PhaseWindow {
+ public:
+  using V = typename F::value_type;
+  using BS = gf::BitslicedGF;
+  using E = BS::word;
+  using Coef = BS::Matrix;
+  static constexpr const char* kSpan = "engine.phase.bitsliced";
+
+  explicit SlicedLanes(const F& f) : bs_(f), l_(bs_.words()) {}
+  [[nodiscard]] std::size_t nb() const noexcept {
+    return (batch + BS::kLanes - 1) / BS::kLanes;
+  }
+  [[nodiscard]] std::size_t row() const noexcept {
+    return nb() * static_cast<std::size_t>(l_);
+  }
+  void set_live(const std::vector<std::uint32_t>& v) {
+    live_.resize(v.size() * nb());
+    for (std::size_t li = 0; li < v.size(); ++li)
+      for (std::size_t blk = 0; blk < nb(); ++blk)
+        live_[li * nb() + blk] =
+            BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
+  }
+  void broadcast(E* dst, V c, std::uint32_t li) const {
+    for (std::size_t blk = 0; blk < nb(); ++blk)
+      bs_.broadcast(dst + blk * l_, static_cast<BS::value_type>(c),
+                    live_[li * nb() + blk]);
+  }
+  void gate(E* x, std::uint32_t li) const {
+    for (std::size_t blk = 0; blk < nb(); ++blk)
+      bs_.mask_block(x + blk * l_, live_[li * nb() + blk]);
+  }
+  template <typename Fn>
+  void set_lanes(E* dst, Fn&& value) const {
+    BS::value_type vals[BS::kLanes];
+    for (std::size_t blk = 0; blk < nb(); ++blk) {
+      const int lanes = lanes_of(blk);
+      for (int b = 0; b < lanes; ++b)
+        vals[b] = static_cast<BS::value_type>(value(
+            static_cast<std::uint32_t>(q0 + blk * BS::kLanes + b)));
+      bs_.pack_lanes(dst + blk * l_, vals, lanes);
+    }
+  }
+
+  [[nodiscard]] Coef coef(V c) const noexcept {
+    return bs_.matrix(static_cast<BS::value_type>(c));
+  }
+  void zero(E* x) const { std::fill(x, x + row(), E{0}); }
+  void add(E* dst, const E* src) const {
+    for (std::size_t i = 0, n = row(); i < n; ++i) dst[i] ^= src[i];
+  }
+  bool mul_add(E* dst, const E* a, const E* b, std::size_t z) const {
+    const std::size_t n = row();
+    bool any = false;
+    for (std::size_t o = 0; o < n; o += l_)
+      for (std::size_t i = 0; i <= z; ++i) {
+        const E* x = a + i * n + o;
+        if (bs_.is_zero(x)) continue;
+        const E* y = b + (z - i) * n + o;
+        if (bs_.is_zero(y)) continue;
+        E prod[16];
+        bs_.mul(prod, x, y);
+        bs_.add_into(dst + o, prod);
+        any = true;
+      }
+    return any;
+  }
+  void scale_add(E* dst, const Coef& c, const E* src) const {
+    for (std::size_t o = 0, n = row(); o < n; o += l_) {
+      E scaled[16];
+      bs_.mul_matrix(scaled, c, src + o);
+      bs_.add_into(dst + o, scaled);
+    }
+  }
+  [[nodiscard]] V fold(const E* x, std::size_t n, std::size_t step,
+                       std::size_t lanes) const {
+    V s = 0;
+    for (std::size_t blk = 0; blk * BS::kLanes < lanes; ++blk) {
+      const std::size_t lv =
+          std::min<std::size_t>(BS::kLanes, lanes - blk * BS::kLanes);
+      E sum[16] = {};
+      for (std::size_t i = 0; i < n; ++i)
+        bs_.add_into(sum, x + i * step * row() + blk * l_);
+      s = static_cast<V>(
+          s ^ bs_.fold_xor(sum, lv >= BS::kLanes ? ~E{0} : (E{1} << lv) - 1));
+    }
+    return s;
+  }
+  void exchange(runtime::Comm& group, const partition::PartView& view,
+                const std::vector<E>& vals, std::vector<E>& ghost,
+                std::size_t rows) {
+    const std::size_t nl = view.num_local(), ng = view.num_ghosts();
+    stage_out_.resize(nl * rows * batch);
+    for (std::uint32_t li : view.boundary)
+      for (std::size_t r = li * rows; r < (li + 1) * rows; ++r)
+        for (std::size_t blk = 0; blk < nb(); ++blk)
+          bs_.unpack_lanes(stage_out_.data() + r * batch + blk * BS::kLanes,
+                           vals.data() + r * row() + blk * l_,
+                           lanes_of(blk));
+    stage_ghost_.assign(ng * rows * batch, V{0});
+    halo_exchange(group, view, stage_out_, stage_ghost_, rows * batch);
+    ghost.resize(ng * rows * row());
+    for (std::size_t r = 0; r < ng * rows; ++r)
+      for (std::size_t blk = 0; blk < nb(); ++blk)
+        bs_.pack_lanes(ghost.data() + r * row() + blk * l_,
+                       stage_ghost_.data() + r * batch + blk * BS::kLanes,
+                       lanes_of(blk));
+  }
+
+ private:
+  [[nodiscard]] int lanes_of(std::size_t blk) const noexcept {
+    return static_cast<int>(
+        std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
+  }
+
+  BS bs_;
+  int l_;
+  std::vector<E> live_;
+  std::vector<V> stage_out_, stage_ghost_;
+};
+
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
+
+/// What a recurrence sees of its rank.
+template <class Lanes>
+struct RankCtx {
+  runtime::Comm& world;
+  runtime::Comm& group;
+  const partition::PartView& view;
+  Lanes& lanes;
+  std::size_t nl = view.num_local();
+  std::size_t ng = view.num_ghosts();
+  std::uint64_t adj_bytes = view.adj.size() * sizeof(partition::NbrRef) +
+                            view.adj_offsets.size() * sizeof(std::uint64_t);
+
+  /// Memory model of one DP level: each lane op pulls a neighbor value,
+  /// plus one adjacency pass; the working set `ws` decides hot/cold.
+  void charge_level(std::uint64_t ops, std::uint64_t ws) const {
+    world.charge_compute(ops);
+    world.charge_memory(ops * sizeof(typename Lanes::V) + adj_bytes, ws);
+  }
+};
+
+/// found[round * cells + c] is 1 when cell c of that round reduced to
+/// nonzero; `result` reads cell 0 (the answer of path, tree and motif).
+struct DriverRun {
+  MidasResult result;
+  std::vector<std::uint8_t> found;
+  std::size_t cells = 1;
+
+  [[nodiscard]] bool any(std::size_t c) const {
+    for (std::size_t i = c; i < found.size(); i += cells)
+      if (found[i] != 0) return true;
+    return false;
+  }
+};
+
+/// The one distributed driver. `rec` is the engine's recurrence policy:
+///   cells         per-round accumulator width (one field value each)
+///   stops_on_hit  the answer is one yes/no bit, so under opt.early_exit a
+///                 round that finds it ends the run
+///   tag, extra    engine tag and input hash for the config fingerprint
+///   Kernel<Lanes> per-rank state built from (rec, RankCtx&), with
+///                 begin_round(round) and phase(acc): evaluate the lanes'
+///                 current phase and XOR it into acc[0, cells)
+/// A phase's contribution is self-inverse under XOR: running it twice
+/// removes it again, which is how failover moves phases between groups
+/// without a separate "undo" path.
+template <gf::GaloisField F, class Rec>
+DriverRun run_driver(const std::vector<partition::PartView>& views,
+                     const MidasOptions& opt, const F& f, const Rec& rec) {
+  using V = typename F::value_type;
+  require_options(static_cast<int>(views.size()) == opt.n1,
+                  "views must have N1 parts");
   require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
                       opt.n_ranks % opt.n1 == 0,
                   "N1 must divide N (phase groups need N/N1 whole replicas)");
   const Schedule sched =
       make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const int k = opt.k;
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
-  if (opt.rand_tables != nullptr)
-    require_options(opt.rand_tables->seed == opt.seed &&
-                        opt.rand_tables->k == opt.k &&
-                        opt.rand_tables->parts ==
-                            static_cast<int>(views.size()) &&
-                        opt.rand_tables->rounds >= opt.rounds(),
-                    "rand_tables do not match this run's "
-                    "(seed, k, parts, rounds)");
+  const bool bitsliced = par_use_bitsliced(f, opt.kernel);
+  const int rounds = opt.rounds();
+  const std::size_t cells = rec.cells;
+  // Supervision is implied by a non-empty fault plan or armed speculation
+  // (straggler re-execution needs the supervised vote/redo machinery).
+  runtime::SpmdOptions sopt = opt.spmd;
+  const bool speculate =
+      sopt.watchdog.speculate && sopt.watchdog.deadline_s > 0.0;
+  sopt.supervise = sopt.supervise || !sopt.faults.empty() || speculate;
 
-  MidasResult result;
+  DriverRun run;
+  run.cells = cells;
+  MidasResult& result = run.result;
   Timer wall;
-  // Shared flags written once per round under an allreduce barrier. Atomic
-  // because on the supervised path every survivor records (idempotently):
-  // a single designated writer could be killed between the failure vote
-  // and its write, silently losing the round.
-  std::vector<std::atomic<int>> round_found(
-      static_cast<std::size_t>(opt.rounds()));
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-
-  // Checkpointing. The fingerprint covers the execution mode because the
-  // supervised protocol charges different virtual time than the clean
-  // path: a snapshot resumes only into the mode that wrote it.
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x6b70617468ULL /* "kpath" */, opt, sopt, sizeof(V),
-      views);
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/1,
-      // Mid-round (wave) resume exists only on the clean path; supervised
-      // snapshots are always taken at round boundaries.
-      /*wave_accum_bytes=*/sopt.supervise ? 0 : sizeof(V));
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  const std::uint64_t start_wave = cs.resumed ? cs.loaded.phase_waves_done
-                                              : 0;
+  // Supervised runs charge different virtual time, so a snapshot resumes
+  // only into the mode that wrote it; they snapshot at round boundaries
+  // only, so mid-round (wave) resume exists on the clean path alone.
+  const std::uint64_t chash =
+      config_fingerprint(rec.tag, opt, sopt, sizeof(V), views, rec.extra);
+  CheckpointSession cs = open_checkpoints(
+      opt, sopt, chash, cells, sopt.supervise ? 0 : cells * sizeof(V));
+  const int start_round =
+      cs.resumed ? static_cast<int>(cs.loaded.next_round) : 0;
+  const std::uint64_t start_wave = cs.resumed ? cs.loaded.phase_waves_done : 0;
+  // Atomic: every rank records each round (see below).
+  std::vector<std::atomic<std::uint8_t>> found(
+      static_cast<std::size_t>(rounds) * cells);
   if (cs.resumed) {
     result.resumed_from_round = start_round;
-    for (int r = 0; r < start_round; ++r)
-      round_found[static_cast<std::size_t>(r)] =
-          cs.loaded.driver_state[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i < cs.loaded.driver_state.size(); ++i)
+      found[i] = cs.loaded.driver_state[i];
   }
-  // Per-rank accumulator staging for mid-round snapshots: slot r is
-  // written only by world rank r before the snapshot rendezvous reads it.
+  // Mid-round snapshot accumulators, slot r written only by world rank r.
   std::vector<std::vector<std::uint8_t>> accum_stage(
       static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&round_found](int rounds_done) {
-    std::vector<std::uint8_t> s(static_cast<std::size_t>(rounds_done));
-    for (int r = 0; r < rounds_done; ++r)
-      s[static_cast<std::size_t>(r)] =
-          static_cast<std::uint8_t>(round_found[static_cast<std::size_t>(r)]);
-    return s;
+  // Collective snapshot: captured with every peer parked, skipped if any
+  // rank already failed (a resumable world must be consistent), written
+  // by rank 0 alone while peers park at their next rendezvous.
+  auto snapshot = [&](runtime::Comm& world, int next_round,
+                      std::uint64_t waves_done) {
+    MIDAS_TRACE_SPAN("checkpoint.snapshot", {"next_round", next_round});
+    world.snapshot_sync([&] {
+      cs.staged_ok = false;
+      if (!world.failed_world_ranks().empty()) return;
+      cs.staged.config_hash = chash;
+      cs.staged.next_round = static_cast<std::uint32_t>(next_round);
+      cs.staged.phase_waves_done = waves_done;
+      cs.staged.driver_state.assign(
+          found.begin(), found.begin() + next_round * cells);
+      cs.staged.accum = accum_stage;
+      cs.staged.vclocks = world.world_vclocks();
+      cs.staged.events = world.world_event_counts();
+      cs.staged.stats = world.world_stats_snapshot();
+      cs.staged.rng_state = opt.checkpoint.rng_state;
+      cs.staged_ok = true;
+    });
+    if (world.rank() == 0 && cs.staged_ok) (void)cs.store->write(cs.staged);
   };
+  const auto xor_into = [&f](V& a, const V& b) { a = f.add(a, b); };
 
   auto spmd = runtime::run_spmd(opt.n_ranks, opt.model, sopt,
                                 [&](runtime::Comm& world) {
-    const int group_color = world.rank() / opt.n1;
-    // Supervised runs shrink world collectives over survivors; the phase
-    // group keeps kThrow (the default for supervised split children): a
-    // group that loses its member's graph part cannot continue.
+    const int color = world.rank() / opt.n1;
+    // Supervised world collectives shrink over survivors; the phase group
+    // keeps kThrow: a group that lost a member's part cannot continue.
     if (world.supervised())
       world.set_fail_policy(runtime::FailPolicy::kShrink);
-    runtime::Comm group = world.split(group_color, world.rank() % opt.n1);
-    // Setup done: on a resumed run, overwrite the re-charged setup state
-    // with the snapshot's (no-op otherwise).
+    runtime::Comm group = world.split(color, world.rank() % opt.n1);
+    // A resumed run overwrites the re-charged setup state here.
     world.resume_sync();
     // The part a rank owns is fixed by its world rank — never by its rank
     // in `group`, which shifts when the split excluded a dead member.
     const auto& view = views[static_cast<std::size_t>(world.rank() % opt.n1)];
-    const std::uint32_t nl = view.num_local();
-    const std::uint32_t ng = view.num_ghosts();
 
-    std::vector<std::uint32_t> v(nl);
-    std::vector<V> r(static_cast<std::size_t>(k) * nl);
-    std::vector<V> cur, next, ghost, scratch;
-    std::vector<std::uint8_t> live_q;
-
-    // Bit-sliced state (gf/bitsliced.hpp). Halo payloads stay in the scalar
-    // byte layout — boundary blocks are transposed to values on send and
-    // ghosts transposed back on receive — and every charge_* call mirrors
-    // the scalar kernel, so clocks, messages, snapshots, and the failover
-    // protocol are identical across kernels.
-    std::optional<gf::BitslicedGF> bse;
-    std::vector<std::uint64_t> bcur, bnext, bghost, blive;
-    std::vector<V> cur_s, ghost_s;
-    std::vector<gf::BitslicedGF::Matrix> mats;
-    // Boundary vertices (lane blocks serialized into halo payloads) are
-    // precomputed on the view, so a cached view costs no per-run setup.
-    const std::vector<std::uint32_t>& boundary = view.boundary;
-    if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) {
-        bse.emplace(f);
-        mats.resize(static_cast<std::size_t>(k - 1) * nl);
-      }
-    }
-
-    // One phase of the walk DP: the N2-wide base case plus k-1
-    // halo-exchanged inductive levels, XOR-accumulated into `total`.
-    // XOR makes this self-inverse: running the same phase twice removes
-    // its contribution again, which is how the failover protocol moves
-    // phases between groups without a separate "undo" path.
-    auto compute_phase_scalar = [&](std::uint64_t phase, V& total) {
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      cur.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-      next.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-      ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-      scratch.assign(batch, f.zero());
-      live_q.assign(static_cast<std::size_t>(nl) * batch, 0);
-
-      // Memory model: each level streams the local adjacency plus the
-      // active state arrays; the resident working set decides hot/cold.
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
-      const std::uint64_t state_bytes =
-          (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
-      const std::uint64_t working_set =
-          adj_bytes + state_bytes + r.size() * sizeof(V);
-
-      // Base case P(i, q, 1); the liveness flags are per (vertex,
-      // iteration), so compute them once and reuse across all k levels.
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        V* row = cur.data() + static_cast<std::size_t>(li) * batch;
-        std::uint8_t* lq =
-            live_q.data() + static_cast<std::size_t>(li) * batch;
-        const V r1 = r[li];
-        for (std::size_t b = 0; b < batch; ++b) {
-          const auto q = static_cast<std::uint32_t>(q0 + b);
-          lq[b] = inner_product_odd(v[li], q) ? 0 : 1;
-          row[b] = lq[b] ? r1 : f.zero();
-        }
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-
-      // Inductive steps with one halo exchange per level.
-      for (int j = 2; j <= k; ++j) {
-        detail::halo_exchange(group, view, cur, ghost, batch);
-        const V* rj = r.data() + static_cast<std::size_t>(j - 1) * nl;
-        std::uint64_t ops = 0;
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          V* out = next.data() + static_cast<std::size_t>(li) * batch;
-          // Accumulate neighbor values lane-wise into the scratch row.
-          std::fill(scratch.begin(), scratch.end(), f.zero());
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (auto e = begin; e < end; ++e) {
-            const auto ref = view.adj[e];
-            const V* src =
-                ref.is_ghost()
-                    ? ghost.data() +
-                          static_cast<std::size_t>(ref.index()) * batch
-                    : cur.data() +
-                          static_cast<std::size_t>(ref.index()) * batch;
-            for (std::size_t b = 0; b < batch; ++b)
-              scratch[b] = f.add(scratch[b], src[b]);
-          }
-          ops += (end - begin) * batch;
-          // Gate by liveness, then scale the whole row by the level
-          // coefficient — one log lookup for the row via scale_add/axpy.
-          const std::uint8_t* lq =
-              live_q.data() + static_cast<std::size_t>(li) * batch;
-          for (std::size_t b = 0; b < batch; ++b)
-            if (!lq[b]) scratch[b] = f.zero();
-          std::fill(out, out + batch, f.zero());
-          gf::scale_add_row(f, out, rj[li], scratch.data(), batch);
-          ops += batch;
-        }
-        world.charge_compute(ops);
-        // Kernel traffic: every adjacency entry pulls a batch-wide row of
-        // neighbor state (random access), plus one pass over adjacency.
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        std::swap(cur, next);
-      }
-      detail::accumulate_level(f, cur,
-                               static_cast<std::size_t>(nl) * batch, total);
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    };
-
-    // The same phase, bit-sliced: ceil(batch/64) 64-lane blocks per vertex,
-    // liveness as parity masks, constant scaling as plane matrices. Generic
-    // lambda so the body only instantiates for Bitsliceable fields.
-    auto compute_phase_bs = [&](const auto& bs, std::uint64_t phase,
-                                V& total) {
-      using BS = gf::BitslicedGF;
-      using word = BS::word;
-      const int L = bs.words();
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-      const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-      bcur.assign(static_cast<std::size_t>(nl) * wpv, 0);
-      bnext.assign(static_cast<std::size_t>(nl) * wpv, 0);
-      bghost.assign(static_cast<std::size_t>(ng) * wpv, 0);
-      blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-      cur_s.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-      ghost_s.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
-      const std::uint64_t state_bytes =
-          (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
-      const std::uint64_t working_set =
-          adj_bytes + state_bytes + r.size() * sizeof(V);
-      auto lanes_of = [&](std::size_t blk) {
-        return static_cast<int>(
-            std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
+    auto body = [&](auto lanes) {
+      using Lanes = decltype(lanes);
+      RankCtx<Lanes> ctx{world, group, view, lanes};
+      typename Rec::template Kernel<Lanes> kern(rec, ctx);
+      std::vector<V> acc(cells);
+      std::vector<std::uint64_t> own, have;  // phases owned / folded in acc
+      for (std::uint64_t p = static_cast<std::uint64_t>(color);
+           p < sched.phases(); p += sched.groups())
+        own.push_back(p);
+      auto compute_phase = [&](std::uint64_t phase) {
+        MIDAS_TRACE_SPAN(Lanes::kSpan,
+                         {"phase", static_cast<std::int64_t>(phase)});
+        [[maybe_unused]] const double vt0 = world.vclock();
+        const auto [q0, q1] = sched.phase_range(phase);
+        lanes.q0 = q0;
+        lanes.batch = static_cast<std::uint32_t>(q1 - q0);
+        kern.phase(acc.data());
+        MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
+                            (world.vclock() - vt0) * 1e9);
+      };
+      auto drop = [&] {
+        std::fill(acc.begin(), acc.end(), f.zero());
+        have.clear();
       };
 
-      // Base case: one parity mask per (vertex, block), level-1 coefficient
-      // broadcast into the live lanes.
-      for (std::uint32_t li = 0; li < nl; ++li)
-        for (std::size_t blk = 0; blk < nblocks; ++blk) {
-          const word m =
-              BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
-          blive[static_cast<std::size_t>(li) * nblocks + blk] = m;
-          bs.broadcast(&bcur[static_cast<std::size_t>(li) * wpv + blk * L],
-                       static_cast<BS::value_type>(r[li]), m);
-        }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-
-      for (int j = 2; j <= k; ++j) {
-        // Halo in the scalar byte layout: transpose boundary blocks to
-        // values, exchange, transpose ghosts back to planes.
-        for (std::uint32_t li : boundary)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.unpack_lanes(
-                cur_s.data() + static_cast<std::size_t>(li) * batch +
-                    blk * BS::kLanes,
-                &bcur[static_cast<std::size_t>(li) * wpv + blk * L],
-                lanes_of(blk));
-        detail::halo_exchange(group, view, cur_s, ghost_s, batch);
-        for (std::uint32_t gi = 0; gi < ng; ++gi)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.pack_lanes(
-                &bghost[static_cast<std::size_t>(gi) * wpv + blk * L],
-                ghost_s.data() + static_cast<std::size_t>(gi) * batch +
-                    blk * BS::kLanes,
-                lanes_of(blk));
-
-        const gf::BitslicedGF::Matrix* mj =
-            mats.data() + static_cast<std::size_t>(j - 2) * nl;
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            word* out = &bnext[static_cast<std::size_t>(li) * wpv + blk * L];
-            const word m =
-                blive[static_cast<std::size_t>(li) * nblocks + blk];
-            if (m == 0) {
-              bs.clear(out);
-              continue;
-            }
-            word acc[16] = {};
-            for (auto e = begin; e < end; ++e) {
-              const auto ref = view.adj[e];
-              const word* src =
-                  ref.is_ghost()
-                      ? &bghost[static_cast<std::size_t>(ref.index()) * wpv +
-                                blk * L]
-                      : &bcur[static_cast<std::size_t>(ref.index()) * wpv +
-                              blk * L];
-              bs.add_into(acc, src);
-            }
-            bs.mul_matrix(out, mj[li], acc);
-            bs.mask_block(out, m);
-          }
-        }
-        // Charge the same logical work as the scalar kernel: one add per
-        // adjacency entry per lane, one gate/scale per vertex-lane.
-        const std::uint64_t ops =
-            (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        std::swap(bcur, bnext);
-      }
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        word sum[16] = {};
-        for (std::uint32_t li = 0; li < nl; ++li)
-          bs.add_into(sum, &bcur[static_cast<std::size_t>(li) * wpv + blk * L]);
-        total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    };
-
-    auto compute_phase = [&](std::uint64_t phase, V& total) {
-      MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                 : "engine.phase.scalar",
-                       {"phase", static_cast<std::int64_t>(phase)});
-      [[maybe_unused]] const double vt0 = world.vclock();
-      if constexpr (gf::Bitsliceable<F>) {
-        if (bitsliced) {
-          compute_phase_bs(*bse, phase, total);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-          return;
-        }
-      }
-      compute_phase_scalar(phase, total);
-      MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                          (world.vclock() - vt0) * 1e9);
-    };
-
-    for (int round = start_round; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("engine.round", {"round", round});
-      if (opt.rand_tables != nullptr) {
-        // Cached randomness: same hash values, precomputed once per
-        // (seed, k) and shared across queries (see RandTables).
-        const int my_part = world.rank() % opt.n1;
-        const auto& vt = opt.rand_tables->v_of(round, my_part);
-        const auto& ct = opt.rand_tables->coeff_of(round, my_part);
-        std::copy(vt.begin(), vt.end(), v.begin());
-        for (std::size_t idx = 0; idx < r.size(); ++idx)
-          r[idx] = static_cast<V>(ct[idx]);
-      } else {
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const graph::VertexId gid = view.vertices[li];
-          v[li] = v_vector(opt.seed, round, gid, k);
-          for (int j = 1; j <= k; ++j)
-            r[static_cast<std::size_t>(j - 1) * nl + li] = field_coeff(
-                f, opt.seed, round, gid, static_cast<std::uint32_t>(j));
-        }
-      }
-      if constexpr (gf::Bitsliceable<F>) {
-        // Level coefficients are fixed per round: build their multiply
-        // matrices once, amortized over every phase and failover redo.
-        if (bitsliced)
-          for (int j = 2; j <= k; ++j)
-            for (std::uint32_t li = 0; li < nl; ++li)
-              mats[static_cast<std::size_t>(j - 2) * nl + li] =
-                  bse->matrix(static_cast<gf::BitslicedGF::value_type>(
-                      r[static_cast<std::size_t>(j - 1) * nl + li]));
-      }
-      V total = f.zero();
-      // Round-boundary snapshot cadence; uniform across ranks (the early-
-      // exit guard reads the shared allreduce result), which a collective
-      // rendezvous requires.
-      auto round_snapshot_due = [&](int done, bool found) {
-        return cs.armed() && done % opt.checkpoint.every_rounds == 0 &&
-               done < opt.rounds() && !(opt.early_exit && found);
-      };
-
-      if (!world.supervised()) {
-        // Clean fast path — identical collective sequence to the original
-        // engine (paper's MPIREDUCE per round). Phases are walked as
-        // uniform waves (wave w = phase group_color + w*a) so that every
-        // rank hits an optional mid-round snapshot rendezvous in lockstep
-        // even though groups own unequal phase counts.
+      // Clean path: the paper's MPIREDUCE per round. Phases are walked as
+      // uniform waves (wave w = phase color + w*a) so every rank reaches a
+      // mid-round snapshot in lockstep although groups own unequal counts.
+      auto clean_round = [&](int round) {
         std::uint64_t w0 = 0;
         if (round == start_round && start_wave > 0) {
-          // Mid-round resume: the restored accumulator already folds the
-          // first `start_wave` waves of this round.
+          // Mid-round resume: the restored accumulator folds its waves.
           w0 = start_wave;
-          std::memcpy(&total,
-                      cs.loaded.accum[static_cast<std::size_t>(world.rank())]
-                          .data(),
-                      sizeof(V));
+          std::memcpy(
+              acc.data(),
+              cs.loaded.accum[static_cast<std::size_t>(world.rank())].data(),
+              cells * sizeof(V));
         }
         const std::uint64_t waves = sched.batches();
         for (std::uint64_t w = w0; w < waves; ++w) {
           MIDAS_TRACE_SPAN("engine.wave",
                            {"wave", static_cast<std::int64_t>(w)});
-          const std::uint64_t phase =
-              static_cast<std::uint64_t>(group_color) + w * sched.groups();
-          if (phase < sched.phases()) compute_phase(phase, total);
+          if (w < own.size()) compute_phase(own[w]);
           if (cs.armed() && opt.checkpoint.every_waves > 0 &&
               w + 1 < waves && (w + 1) % opt.checkpoint.every_waves == 0) {
             auto& slot = accum_stage[static_cast<std::size_t>(world.rank())];
-            slot.resize(sizeof(V));
-            std::memcpy(slot.data(), &total, sizeof(V));
-            detail::take_snapshot(world, cs, chash, round, w + 1,
-                                  opt.checkpoint.rng_state, accum_stage,
-                                  [&] { return driver_state_upto(round); });
+            slot.resize(cells * sizeof(V));
+            std::memcpy(slot.data(), acc.data(), slot.size());
+            snapshot(world, round, w + 1);
           }
         }
-        V buf = total;
-        world.allreduce<V>(std::span<V>(&buf, 1),
-                           [&f](V& a, const V& b) { a = f.add(a, b); });
-        if (world.rank() == 0 && buf != f.zero())
-          round_found[static_cast<std::size_t>(round)] = 1;
-        world.barrier();
-        if (round_snapshot_due(round + 1, buf != f.zero())) {
-          accum_stage[static_cast<std::size_t>(world.rank())].clear();
-          detail::take_snapshot(world, cs, chash, round + 1, 0,
-                                opt.checkpoint.rng_state, accum_stage,
-                                [&] { return driver_state_upto(round + 1); });
-        }
-        if (opt.early_exit && buf != f.zero()) break;
-        continue;
-      }
+        world.allreduce<V>(std::span<V>(acc), xor_into);
+      };
 
       // Supervised: speculative compute, then the vote/redo protocol
-      // (docs/RESILIENCE.md). `have` lists the phases whose contributions
-      // are currently folded into `total` (the round-level checkpoint is
-      // the per-round allreduce itself: completed rounds are never redone).
-      std::vector<std::uint64_t> have;
-      std::vector<int> slow_groups;
-      const bool watchdog_armed = sopt.watchdog.speculate &&
-                                  sopt.watchdog.deadline_s > 0.0 &&
-                                  sched.groups() > 1;
-      bool computing = group.size() == opt.n1 && !group.any_peer_failed();
-      if (watchdog_armed) {
-        // Probe wave: each intact group computes only its first owned
-        // phase, then every rank compares virtual clocks. A group lagging
-        // the fastest one by more than the deadline is voted a straggler
-        // and its phases are dealt to the fast groups below — the same
-        // redo path that covers dead groups (speculative re-execution).
-        if (computing) {
+      // (docs/RESILIENCE.md). Completed rounds are never redone. Returns
+      // the agreed failure view.
+      auto supervised_round = [&](int round) {
+        have.clear();
+        bool computing = group.size() == opt.n1 && !group.any_peer_failed();
+        auto compute_own = [&](std::size_t from, std::size_t to) {
+          if (!computing) return;
           try {
-            if (static_cast<std::uint64_t>(group_color) < sched.phases()) {
-              compute_phase(static_cast<std::uint64_t>(group_color), total);
-              have.push_back(static_cast<std::uint64_t>(group_color));
+            for (std::size_t i = from; i < to; ++i) {
+              compute_phase(own[i]);
+              have.push_back(own[i]);
             }
           } catch (const runtime::RankFailedError&) {
-            total = f.zero();
-            have.clear();
+            // A group member died: intact groups recompute all our phases.
+            drop();
             computing = false;
           }
-        }
-        slow_groups =
-            world.straggling_groups(opt.n1, sopt.watchdog.deadline_s);
-        if (!slow_groups.empty())
-          MIDAS_TRACE_INSTANT(
-              "watchdog.straggler_vote",
-              {"slow_groups",
-               static_cast<std::int64_t>(slow_groups.size())});
-        // A straggler stops speculating on its own phases; whether its
-        // probe contribution survives is decided uniformly in the vote
-        // loop (it does only when no fast group is left to take over).
-        if (std::binary_search(slow_groups.begin(), slow_groups.end(),
-                               group_color))
-          computing = false;
-      }
-      if (computing) {
-        const std::uint64_t first_own =
-            static_cast<std::uint64_t>(group_color) +
-            (watchdog_armed ? static_cast<std::uint64_t>(sched.groups())
-                            : 0u);
-        try {
-          for (std::uint64_t phase = first_own; phase < sched.phases();
-               phase += sched.groups()) {
-            compute_phase(phase, total);
-            have.push_back(phase);
-          }
-        } catch (const runtime::RankFailedError&) {
-          // A group member died mid-round: this group's shares cannot be
-          // completed, so discard them — intact groups recompute the
-          // whole set of our phases.
-          total = f.zero();
-          have.clear();
-        }
-      }
-
-      V reduced = f.zero();
-      std::uint64_t agreed = 0;
-      bool reduced_valid = false;
-      std::vector<int> agreed_failed;
-      while (true) {
-        // Vote on the failure view. The min/max result is shared, so the
-        // decision below is uniform across survivors — nobody can break
-        // out of the loop while a peer redoes, which would deadlock.
-        std::vector<int> failed = world.failed_world_ranks();
-        detail::HashRange hr;
-        hr.lo = hr.hi = runtime::fnv1a(
-            std::as_bytes(std::span<const int>(failed)));
-        world.allreduce<detail::HashRange>(
-            std::span<detail::HashRange>(&hr, 1),
-            [](detail::HashRange& a, const detail::HashRange& b) {
-              a.lo = std::min(a.lo, b.lo);
-              a.hi = std::max(a.hi, b.hi);
-            });
-        if (hr.lo != hr.hi) continue;  // views diverged: re-read, re-vote
-        if (reduced_valid && hr.lo == agreed) break;  // stable: accept
-        agreed = hr.lo;
-        agreed_failed = std::move(failed);
-        MIDAS_TRACE_INSTANT(
-            "failover.vote",
-            {"round", round},
-            {"failed", static_cast<std::int64_t>(agreed_failed.size())});
-        MIDAS_TRACE_COUNT("failover.votes", 1);
-
-        std::vector<int> dead_groups, intact_groups;
-        for (int g = 0; g < sched.groups(); ++g) {
-          bool dead = false;
-          for (int s = 0; s < opt.n1 && !dead; ++s)
-            dead = std::binary_search(agreed_failed.begin(),
-                                      agreed_failed.end(), g * opt.n1 + s);
-          (dead ? dead_groups : intact_groups).push_back(g);
-        }
-        if (intact_groups.empty())
-          throw runtime::UnrecoverableFaultError(
-              "every phase group lost a member; no intact graph replica "
-              "left to recompute their phases");
-
-        // Donors hand their phases over; workers recompute them. Dead
-        // groups always donate. Straggling-but-intact groups donate too,
-        // unless *every* intact group straggles — then nobody is faster
-        // and the flag is moot. All inputs (dead/intact from the agreed
-        // vote, slow_groups from a shared allreduce) are uniform across
-        // survivors, so every rank reaches the same split.
-        std::vector<int> donor_groups = dead_groups;
-        std::vector<int> worker_groups = intact_groups;
-        if (!slow_groups.empty()) {
-          std::vector<int> fast;
-          std::set_difference(intact_groups.begin(), intact_groups.end(),
-                              slow_groups.begin(), slow_groups.end(),
-                              std::back_inserter(fast));
-          if (!fast.empty()) {
-            worker_groups = std::move(fast);
-            std::set_intersection(slow_groups.begin(), slow_groups.end(),
-                                  intact_groups.begin(),
-                                  intact_groups.end(),
-                                  std::back_inserter(donor_groups));
-            std::sort(donor_groups.begin(), donor_groups.end());
-          }
-        }
-
-        if (!std::binary_search(worker_groups.begin(), worker_groups.end(),
-                                group_color)) {
-          // My group is incomplete (or voted a straggler): its
-          // contribution (including any phase shares already finished) is
-          // recomputed by the worker groups, so we must contribute
-          // exactly zero.
-          total = f.zero();
-          have.clear();
-        } else {
-          std::vector<std::uint64_t> want;
-          for (std::uint64_t phase = group_color; phase < sched.phases();
-               phase += sched.groups())
-            want.push_back(phase);
-          const auto extra = failover_phases(sched, donor_groups,
-                                             worker_groups, group_color);
-          want.insert(want.end(), extra.begin(), extra.end());
-          std::sort(want.begin(), want.end());
-          std::vector<std::uint64_t> delta;
-          std::set_symmetric_difference(want.begin(), want.end(),
-                                        have.begin(), have.end(),
-                                        std::back_inserter(delta));
-          if (!delta.empty()) {
+        };
+        std::vector<int> slow_groups;
+        std::size_t first = 0;
+        if (speculate && sched.groups() > 1) {
+          // Probe wave: each intact group computes its first phase, then a
+          // group lagging the fastest by more than the deadline is voted a
+          // straggler and donates its phases like a dead group.
+          first = std::min<std::size_t>(1, own.size());
+          compute_own(0, first);
+          slow_groups =
+              world.straggling_groups(opt.n1, sopt.watchdog.deadline_s);
+          if (!slow_groups.empty())
             MIDAS_TRACE_INSTANT(
-                "failover.redo",
-                {"phases", static_cast<std::int64_t>(delta.size())});
-            MIDAS_TRACE_COUNT("failover.phases_redone", delta.size());
-          }
-          try {
-            // XOR self-inverse: phases entering `want` are added, phases
-            // leaving it are cancelled — both by the same computation.
-            for (std::uint64_t phase : delta) compute_phase(phase, total);
-            have = std::move(want);
-          } catch (const runtime::RankFailedError&) {
-            total = f.zero();
-            have.clear();
-          }
+                "watchdog.straggler_vote",
+                {"slow_groups",
+                 static_cast<std::int64_t>(slow_groups.size())});
+          // A straggler stops computing; the vote decides whether its probe
+          // survives (only when no fast group is left to take over).
+          if (std::binary_search(slow_groups.begin(), slow_groups.end(),
+                                 color))
+            computing = false;
         }
+        compute_own(first, own.size());
 
-        reduced = total;
-        world.allreduce<V>(std::span<V>(&reduced, 1),
-                           [&f](V& a, const V& b) { a = f.add(a, b); });
-        reduced_valid = true;
-        // Loop back to the vote: if a rank died before this allreduce
-        // completed, its contribution is missing — the next vote sees the
-        // changed view and redoes the reduction.
-      }
+        std::vector<V> reduced;
+        std::uint64_t agreed = 0;
+        std::vector<int> agreed_failed;
+        while (true) {
+          // Vote on the failure view: lo == hi of the hashed failed-rank
+          // lists iff all survivors saw the same view. The result is
+          // shared, so no rank can leave the loop while a peer redoes.
+          std::vector<int> failed = world.failed_world_ranks();
+          using Range = std::array<std::uint64_t, 2>;  // {lo, hi}
+          Range hr;
+          hr[0] = hr[1] = runtime::fnv1a(std::as_bytes(std::span(failed)));
+          world.allreduce<Range>(std::span(&hr, 1),
+                                 [](Range& a, const Range& b) {
+                                   a = {std::min(a[0], b[0]),
+                                        std::max(a[1], b[1])};
+                                 });
+          if (hr[0] != hr[1]) continue;  // views diverged: re-read, re-vote
+          if (!reduced.empty() && hr[0] == agreed) break;  // stable: accept
+          agreed = hr[0];
+          agreed_failed = std::move(failed);
+          MIDAS_TRACE_INSTANT(
+              "failover.vote", {"round", round},
+              {"failed", static_cast<std::int64_t>(agreed_failed.size())});
+          MIDAS_TRACE_COUNT("failover.votes", 1);
 
-      // Every survivor records the (shared, agreed) reduction. A single
-      // designated writer would be a correctness hole: kills fire at comm
-      // events, so the writer can die inside the very vote that the other
-      // ranks accepted — nobody would loop back to observe the death, and
-      // the round's found bit would be silently lost while the service
-      // retry layer sees a clean (wrong) completion. Idempotent atomic
-      // stores of 1 make the recording death-proof instead.
-      if (reduced != f.zero())
-        round_found[static_cast<std::size_t>(round)] = 1;
-      // Snapshot only failure-free rounds: `agreed_failed` is the voted
-      // (hence uniform) failure view, so all survivors skip or rendezvous
-      // together. A round completed via failover is still correct but its
-      // rank state is not a clean resume point — the next fault-free
-      // boundary snapshots instead.
-      if (agreed_failed.empty() &&
-          round_snapshot_due(round + 1, reduced != f.zero())) {
-        accum_stage[static_cast<std::size_t>(world.rank())].clear();
-        detail::take_snapshot(world, cs, chash, round + 1, 0,
-                              opt.checkpoint.rng_state, accum_stage,
-                              [&] { return driver_state_upto(round + 1); });
+          // Both inputs are shared, so every survivor reaches this split.
+          const FailoverRoles roles =
+              failover_roles(sched, agreed_failed, slow_groups);
+          if (roles.workers.empty())
+            throw runtime::UnrecoverableFaultError(
+                "every phase group lost a member; no intact graph replica "
+                "left to recompute their phases");
+          if (!std::binary_search(roles.workers.begin(), roles.workers.end(),
+                                  color)) {
+            // The workers recompute my group's share: contribute zero.
+            drop();
+          } else {
+            std::vector<std::uint64_t> want = own;
+            const auto extra =
+                failover_phases(sched, roles.donors, roles.workers, color);
+            want.insert(want.end(), extra.begin(), extra.end());
+            std::sort(want.begin(), want.end());
+            std::vector<std::uint64_t> delta;
+            std::set_symmetric_difference(want.begin(), want.end(),
+                                          have.begin(), have.end(),
+                                          std::back_inserter(delta));
+            if (!delta.empty()) {
+              MIDAS_TRACE_INSTANT(
+                  "failover.redo",
+                  {"phases", static_cast<std::int64_t>(delta.size())});
+              MIDAS_TRACE_COUNT("failover.phases_redone", delta.size());
+            }
+            try {
+              // XOR self-inverse: entering phases are added and leaving
+              // ones cancelled by the same computation.
+              for (std::uint64_t phase : delta) compute_phase(phase);
+              have = std::move(want);
+            } catch (const runtime::RankFailedError&) {
+              drop();
+            }
+          }
+
+          reduced = acc;
+          world.allreduce<V>(std::span<V>(reduced), xor_into);
+          // Re-vote: a rank that died inside this allreduce changes the
+          // view, and the reduction is redone without it.
+        }
+        acc = std::move(reduced);
+        return agreed_failed;
+      };
+
+      for (int round = start_round; round < rounds; ++round) {
+        MIDAS_TRACE_SPAN("engine.round", {"round", round});
+        kern.begin_round(round);
+        std::fill(acc.begin(), acc.end(), f.zero());
+        // A round completed via failover is correct but not a clean resume
+        // point; the uniform vote lets all survivors skip its snapshot.
+        bool snapshot_ok = true;
+        if (world.supervised())
+          snapshot_ok = supervised_round(round).empty();
+        else
+          clean_round(round);
+        // Every rank records the shared reduction: a designated writer
+        // could die inside the very vote the others accepted, silently
+        // losing the round.
+        bool hit = false;
+        for (std::size_t c = 0; c < cells; ++c)
+          if (acc[c] != f.zero()) {
+            found[static_cast<std::size_t>(round) * cells + c] = 1;
+            hit = true;
+          }
+        if (!world.supervised()) world.barrier();
+        // `stop` reads the shared reduction, so the cadence is uniform.
+        const bool stop = rec.stops_on_hit && opt.early_exit && hit;
+        if (snapshot_ok && cs.armed() &&
+            (round + 1) % opt.checkpoint.every_rounds == 0 &&
+            round + 1 < rounds && !stop) {
+          accum_stage[static_cast<std::size_t>(world.rank())].clear();
+          snapshot(world, round + 1, 0);
+        }
+        if (stop) break;
       }
-      if (opt.early_exit && reduced != f.zero()) break;
+    };
+    if constexpr (gf::Bitsliceable<F>) {
+      if (bitsliced) {
+        body(SlicedLanes<F>(f));
+        return;
+      }
     }
+    body(ByteLanes<F>(f));
   });
 
   // Failover masks any failure that leaves an intact group; if nobody
@@ -1015,31 +903,438 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
   result.wall_s = wall.elapsed_s();
   result.vtime = spmd.makespan;
   result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  result.failed_ranks = spmd.failed_ranks;
-  for (int round = 0; round < opt.rounds(); ++round) {
+  result.vclocks = std::move(spmd.vclocks);
+  result.failed_ranks = std::move(spmd.failed_ranks);
+  run.found.assign(found.begin(), found.end());
+  for (int round = 0; round < rounds; ++round) {
     ++result.rounds_run;
-    if (round_found[static_cast<std::size_t>(round)]) {
+    if (run.found[static_cast<std::size_t>(round) * cells] != 0) {
       result.found = true;
       result.found_round = round;
       break;
     }
   }
-  if (!opt.early_exit) result.rounds_run = opt.rounds();
-  return result;
+  if (!opt.early_exit) result.rounds_run = rounds;
+  return run;
 }
+
+/// Largest weight any k vertices can sum to (the top of the weight axis).
+[[nodiscard]] inline std::uint32_t max_weight_sum(
+    const std::vector<std::uint32_t>& weights, int k) {
+  std::vector<std::uint32_t> sorted(weights);
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  std::uint32_t wmax = 0;
+  for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
+    wmax += sorted[static_cast<std::size_t>(i)];
+  return wmax;
+}
+
+/// Per-vertex inputs (weights, colors) must cover every vertex of the parts.
+inline void require_vertex_values(
+    const std::vector<partition::PartView>& views, std::size_t count,
+    const char* what) {
+  std::size_t total_local = 0;
+  for (const auto& view : views) total_local += view.num_local();
+  require_options(count == total_local, what);
+}
+
+// ---------------------------------------------------------------------------
+// Recurrences
+// ---------------------------------------------------------------------------
+
+/// The k-path walk DP (paper Algorithm 1): P(i, q, 1) = [<v_i,q> = 0] r_i1,
+/// P(i, q, j) = [<v_i,q> = 0] r_ij * sum_{u ~ i} P(u, q, j-1), folded at
+/// level k. With `weights`, row z of a vertex holds the walks of weight z
+/// and the accumulator has a cell per weight (Problem 3 part 2).
+template <gf::GaloisField F>
+struct PathRec {
+  using V = typename F::value_type;
+  const F& f;
+  const MidasOptions& opt;
+  const std::vector<std::uint32_t>* weights;  // null: plain k-path
+  std::uint32_t width;
+  std::size_t cells = width;
+  bool stops_on_hit = weights == nullptr;
+  std::uint64_t tag;
+  std::uint64_t extra;
+
+  PathRec(const std::vector<partition::PartView>& views,
+          const MidasOptions& o, const F& fld,
+          const std::vector<std::uint32_t>* w = nullptr)
+      : f(fld),
+        opt(o),
+        weights(w),
+        width(w ? max_weight_sum(*w, o.k) + 1 : 1),
+        tag(w ? 0x776b70617468ULL /* "wkpath" */
+              : 0x6b70617468ULL /* "kpath" */),
+        extra(w ? runtime::fnv1a(std::as_bytes(std::span(*w))) : 0) {
+    if (o.rand_tables != nullptr)
+      require_options(o.rand_tables->seed == o.seed &&
+                          o.rand_tables->k == o.k &&
+                          o.rand_tables->parts ==
+                              static_cast<int>(views.size()) &&
+                          o.rand_tables->rounds >= o.rounds(),
+                      "rand_tables do not match this run's "
+                      "(seed, k, parts, rounds)");
+  }
+
+  template <class Lanes>
+  struct Kernel {
+    using E = typename Lanes::E;
+    const PathRec& rec;
+    RankCtx<Lanes>& ctx;
+    const std::size_t nl;
+    std::vector<std::uint32_t> v, wt;  // Z2^k vectors, vertex weights
+    std::vector<V> r;                  // r[(j-1)*nl + li]
+    std::vector<typename Lanes::Coef> coef;  // the r of levels j >= 2
+    std::uint64_t level_units = 0;  // sum_i (width - w_i) * (deg_i + 1)
+    std::vector<E> cur, next, ghost, sum;
+
+    Kernel(const PathRec& rc, RankCtx<Lanes>& c)
+        : rec(rc),
+          ctx(c),
+          nl(c.nl),
+          v(nl),
+          wt(nl),
+          r(rc.opt.k * nl),
+          coef((rc.opt.k - 1) * nl) {
+      const auto& off = ctx.view.adj_offsets;
+      for (std::size_t li = 0; li < nl; ++li) {
+        if (rec.weights) wt[li] = (*rec.weights)[ctx.view.vertices[li]];
+        level_units += (rec.width - wt[li]) * (off[li + 1] - off[li] + 1);
+      }
+    }
+
+    void begin_round(int round) {
+      if (rec.opt.rand_tables != nullptr) {
+        // Cached randomness: same hash values, precomputed once per
+        // (seed, k) and shared across queries (see RandTables).
+        const int part = ctx.world.rank() % rec.opt.n1;
+        const auto& vt = rec.opt.rand_tables->v_of(round, part);
+        const auto& ct = rec.opt.rand_tables->coeff_of(round, part);
+        std::copy(vt.begin(), vt.end(), v.begin());
+        for (std::size_t i = 0; i < r.size(); ++i)
+          r[i] = static_cast<V>(ct[i]);
+      } else {
+        path_randomness(ctx.view, rec.opt.seed, round, rec.opt.k, rec.f, v,
+                        r);
+      }
+      // Level multipliers are fixed per round: prepare them once,
+      // amortized over every phase and failover redo.
+      for (std::size_t i = 0; i < coef.size(); ++i)
+        coef[i] = ctx.lanes.coef(r[nl + i]);
+    }
+
+    void phase(V* acc) {
+      auto& L = ctx.lanes;
+      const auto& view = ctx.view;
+      const std::size_t batch = L.batch, rw = L.row(), W = rec.width;
+      const std::size_t stride = W * rw;
+      cur.assign(nl * stride, E{});
+      next.assign(nl * stride, E{});
+      sum.resize(rw);
+      const std::uint64_t ws =
+          ctx.adj_bytes +
+          (rec.weights ? (nl + ctx.ng) * W * batch * sizeof(V)
+                       : ((2 * nl + ctx.ng) * batch + r.size()) * sizeof(V));
+
+      // Base case at the vertex's own weight; liveness serves all levels.
+      L.set_live(v);
+      for (std::size_t li = 0; li < nl; ++li)
+        L.broadcast(&cur[li * stride + wt[li] * rw], r[li], li);
+      ctx.world.charge_compute(nl * batch);
+
+      // Inductive steps with one halo exchange per level: the neighbor
+      // sum, gated by liveness, times the level coefficient.
+      for (int j = 2; j <= rec.opt.k; ++j) {
+        L.exchange(ctx.group, view, cur, ghost, W);
+        const auto* cj = coef.data() + (j - 2) * nl;
+        for (std::size_t li = 0; li < nl; ++li)
+          for (std::size_t z = 0; z < W; ++z) {
+            E* out = &next[li * stride + z * rw];
+            L.zero(out);
+            if (z < wt[li]) continue;  // lighter than the vertex itself
+            L.zero(sum.data());
+            const auto end = view.adj_offsets[li + 1];
+            for (auto e = view.adj_offsets[li]; e < end; ++e) {
+              const auto ref = view.adj[e];
+              L.add(sum.data(), (ref.is_ghost() ? ghost : cur).data() +
+                                    ref.index() * stride + (z - wt[li]) * rw);
+            }
+            L.gate(sum.data(), li);
+            L.scale_add(out, cj[li], sum.data());
+          }
+        ctx.charge_level(level_units * batch, ws);
+        std::swap(cur, next);
+      }
+      for (std::size_t z = 0; z < W; ++z)
+        acc[z] = rec.f.add(acc[z], L.fold(&cur[z * rw], nl, W, batch));
+      ctx.world.charge_compute(nl * batch);
+    }
+  };
+};
+
+/// The k-tree DP over a template decomposition (paper Algorithm 3): leaves
+/// are [<v_i,q> = 0] r_{i,s}; an internal subtemplate multiplies its own
+/// child at i by the neighbor sum of its other child, which crosses parts.
+template <gf::GaloisField F>
+struct TreeRec {
+  using V = typename F::value_type;
+  const F& f;
+  const MidasOptions& opt;
+  const TreeDecomposition& td;
+  std::vector<bool> needs_exchange;
+  std::size_t cells = 1;
+  bool stops_on_hit = true;
+  std::uint64_t tag = 0x6b74726565ULL;  // "ktree"
+  std::uint64_t extra = 0;              // decomposition shape
+
+  TreeRec(const MidasOptions& o, const F& fld, const TreeDecomposition& t)
+      : f(fld), opt(o), td(t), needs_exchange(t.subtemplates().size()) {
+    std::vector<std::uint64_t> tw{static_cast<std::uint64_t>(t.root_id())};
+    for (const auto& sub : t.subtemplates()) {
+      if (sub.child1 >= 0)
+        needs_exchange[static_cast<std::size_t>(sub.child2)] = true;
+      tw.push_back(static_cast<std::uint64_t>(sub.child1));
+      tw.push_back(static_cast<std::uint64_t>(sub.child2));
+      tw.push_back(static_cast<std::uint64_t>(sub.template_vertex));
+    }
+    extra = runtime::fnv1a(std::as_bytes(std::span(tw)));
+  }
+
+  template <class Lanes>
+  struct Kernel {
+    using E = typename Lanes::E;
+    const TreeRec& rec;
+    RankCtx<Lanes>& ctx;
+    const std::vector<SubTemplate>& subs;
+    const std::size_t nl;
+    std::vector<std::uint32_t> v;
+    std::vector<V> leaf;  // leaf[s*nl + li] = r_{i,s} of leaf subtemplate s
+    std::vector<std::vector<E>> vals, ghost;
+    std::vector<E> sum;
+
+    Kernel(const TreeRec& rc, RankCtx<Lanes>& c)
+        : rec(rc),
+          ctx(c),
+          subs(rc.td.subtemplates()),
+          nl(c.nl),
+          v(nl),
+          leaf(subs.size() * nl),
+          vals(subs.size()),
+          ghost(subs.size()) {}
+
+    void begin_round(int round) {
+      for (std::size_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = ctx.view.vertices[li];
+        v[li] = v_vector(rec.opt.seed, round, gid, rec.opt.k);
+        for (std::size_t s = 0; s < subs.size(); ++s)
+          if (subs[s].child1 < 0)
+            leaf[s * nl + li] = field_coeff(rec.f, rec.opt.seed, round, gid,
+                                            static_cast<std::uint32_t>(s));
+      }
+    }
+
+    void phase(V* acc) {
+      auto& L = ctx.lanes;
+      const auto& view = ctx.view;
+      const std::size_t batch = L.batch, rw = L.row();
+      const std::uint64_t ws =
+          ctx.adj_bytes + subs.size() * nl * batch * sizeof(V);
+      sum.resize(rw);
+      L.set_live(v);
+      for (std::size_t s = 0; s < subs.size(); ++s) {
+        const auto& sub = subs[s];
+        auto& out = vals[s];
+        out.assign(nl * rw, E{});
+        std::uint64_t ops = nl * batch;
+        if (sub.child1 < 0) {
+          for (std::size_t li = 0; li < nl; ++li)
+            L.broadcast(&out[li * rw], leaf[s * nl + li], li);
+        } else {
+          const auto& own = vals[static_cast<std::size_t>(sub.child1)];
+          const auto& oth = vals[static_cast<std::size_t>(sub.child2)];
+          const auto& og = ghost[static_cast<std::size_t>(sub.child2)];
+          for (std::size_t li = 0; li < nl; ++li) {
+            L.zero(sum.data());
+            const auto end = view.adj_offsets[li + 1];
+            for (auto e = view.adj_offsets[li]; e < end; ++e) {
+              const auto ref = view.adj[e];
+              L.add(sum.data(),
+                    (ref.is_ghost() ? og : oth).data() + ref.index() * rw);
+            }
+            L.mul_add(&out[li * rw], &own[li * rw], sum.data(), 0);
+          }
+          // One add per adjacency entry per lane on top of the multiply.
+          ops += view.adj.size() * batch;
+        }
+        ctx.charge_level(ops, ws);
+        if (rec.needs_exchange[s])
+          L.exchange(ctx.group, view, out, ghost[s], 1);
+      }
+      const auto& root = vals[static_cast<std::size_t>(rec.td.root_id())];
+      acc[0] = rec.f.add(acc[0], L.fold(root.data(), nl, 1, batch));
+      ctx.world.charge_compute(nl * batch);
+    }
+  };
+};
+
+/// The layered connected-subgraph DP (paper Algorithm 5): layer j holds
+/// subtrees of size j, row z of a vertex those of weight z, and
+/// P(i,j,z) = sum_{u ~ i} sigma_{i,u,j} sum_{j1,z1} P(i,j1,z1) P(u,j-j1,z-z1).
+/// Scan feasibility runs it with the weight axis, liveness-gated leaves
+/// and a fold of every (j, z) cell; the Graph Motif sieve (core/motif.hpp)
+/// is the same recurrence at width 1 with shade-subset leaves and a
+/// level-k fold.
+template <gf::GaloisField F>
+struct LayeredRec {
+  using V = typename F::value_type;
+  const F& f;
+  const MidasOptions& opt;
+  const std::vector<std::uint32_t>* weights;  // scan (exactly one of
+  const ShadePlan* plan;                      // these two), or motif
+  std::uint64_t extra;                        // hash of the input
+  std::uint32_t width = plan ? 1 : max_weight_sum(*weights, opt.k) + 1;
+  std::size_t cells = plan ? 1 : static_cast<std::size_t>(opt.k + 1) * width;
+  bool stops_on_hit = plan != nullptr;
+  std::uint64_t tag = plan ? 0x6d6f746966ULL /* "motif" */
+                           : 0x7363616eULL /* "scan" */;
+
+  template <class Lanes>
+  struct Kernel {
+    using E = typename Lanes::E;
+    const LayeredRec& rec;
+    RankCtx<Lanes>& ctx;
+    const std::size_t nl;
+    const int k;
+    int round = 0;
+    std::vector<std::uint32_t> v;
+    // Scan: the level-1 coefficient at [li]; motif: u_{i,s} at [li*k + s].
+    // Ghost leaves arrive through the halo, never by recomputation.
+    std::vector<V> leaf;
+    std::vector<std::vector<E>> vals, ghost;  // per layer j in [1, k]
+    std::vector<E> sum;
+
+    Kernel(const LayeredRec& rc, RankCtx<Lanes>& c)
+        : rec(rc),
+          ctx(c),
+          nl(c.nl),
+          k(rc.opt.k),
+          v(nl),
+          leaf(nl * k),
+          vals(k + 1),
+          ghost(k + 1) {}
+
+    void begin_round(int r) {
+      round = r;
+      for (std::size_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = ctx.view.vertices[li];
+        if (rec.plan == nullptr) {
+          v[li] = v_vector(rec.opt.seed, round, gid, k);
+          leaf[li] = field_coeff(rec.f, rec.opt.seed, round, gid, 1);
+          continue;
+        }
+        const std::uint32_t mask = rec.plan->vertex_mask[gid];
+        for (int s = 0; s < k; ++s)
+          if (((mask >> s) & 1u) != 0)
+            leaf[li * k + s] = shade_coeff(rec.f, rec.opt.seed, round, gid,
+                                           static_cast<std::uint32_t>(s));
+      }
+    }
+
+    void phase(V* acc) {
+      auto& L = ctx.lanes;
+      const auto& view = ctx.view;
+      const std::size_t batch = L.batch, rw = L.row(), W = rec.width;
+      const std::size_t stride = W * rw;
+      for (int j = 1; j <= k; ++j) vals[j].assign(nl * stride, E{});
+      sum.resize(rw);
+      const std::uint64_t ws =
+          ctx.adj_bytes + k * (nl + ctx.ng) * W * batch * sizeof(V);
+
+      // Base case: the shade-subset leaf values d_i(q) (motif), or the
+      // level-1 coefficient in the live lanes at the vertex's own weight.
+      if (rec.plan != nullptr) {
+        for (std::size_t li = 0; li < nl; ++li) {
+          const std::uint32_t mask = rec.plan->vertex_mask[view.vertices[li]];
+          const V* us = leaf.data() + li * k;
+          L.set_lanes(&vals[1][li * rw], [&](std::uint32_t q) {
+            return detail_motif::shade_value(rec.f, us, mask, q);
+          });
+        }
+      } else {
+        L.set_live(v);
+        for (std::size_t li = 0; li < nl; ++li)
+          L.broadcast(
+              &vals[1][li * stride + (*rec.weights)[view.vertices[li]] * rw],
+              leaf[li], li);
+      }
+      ctx.world.charge_compute(nl * batch);
+      L.exchange(ctx.group, view, vals[1], ghost[1], W);
+
+      for (int j = 2; j <= k; ++j) {
+        for (std::size_t li = 0; li < nl; ++li) {
+          const graph::VertexId gid = view.vertices[li];
+          E* out = &vals[j][li * stride];
+          const auto end = view.adj_offsets[li + 1];
+          for (auto e = view.adj_offsets[li]; e < end; ++e) {
+            const auto ref = view.adj[e];
+            const std::uint32_t idx = ref.index();
+            const auto sig = L.coef(sigma_coeff(
+                rec.f, rec.opt.seed, round, gid,
+                ref.is_ghost() ? view.ghosts[idx] : view.vertices[idx],
+                static_cast<std::uint32_t>(j)));
+            // Convolve into one row per weight, then fold it in with a
+            // single scale by sigma (value-identical by distributivity).
+            for (std::size_t z = 0; z < W; ++z) {
+              L.zero(sum.data());
+              bool any = false;
+              for (int j1 = 1; j1 <= j - 1; ++j1)
+                any |= L.mul_add(
+                    sum.data(), &vals[j1][li * stride],
+                    (ref.is_ghost() ? ghost[j - j1] : vals[j - j1]).data() +
+                        idx * stride,
+                    z);
+              if (any) L.scale_add(out + z * rw, sig, sum.data());
+            }
+          }
+        }
+        // The scalar (edge, j1, z, z1) row sweep in closed form; motif's
+        // charge also counts the sigma scale of each edge row.
+        const std::uint64_t per_edge = rec.plan != nullptr
+                                           ? static_cast<std::uint64_t>(j)
+                                           : (j - 1) * (W * (W + 1) / 2);
+        ctx.charge_level(view.adj.size() * per_edge * batch, ws);
+        if (j < k) L.exchange(ctx.group, view, vals[j], ghost[j], W);
+      }
+
+      if (rec.plan != nullptr) {
+        acc[0] = rec.f.add(acc[0], L.fold(vals[k].data(), nl, 1, batch));
+        ctx.world.charge_compute(nl * batch);
+        return;
+      }
+      // Per-(j, z) sums. As in the sequential detector, size-j sums fold
+      // only iterations q < 2^j (degree-j detection lives in that
+      // subgroup; folding all 2^k iterations would cancel sizes < k).
+      for (int j = 1; j <= k; ++j) {
+        const std::uint64_t jlimit = std::uint64_t{1} << j;
+        if (L.q0 >= jlimit) continue;
+        const std::size_t lanes =
+            std::min<std::uint64_t>(batch, jlimit - L.q0);
+        for (std::size_t z = 0; z < W; ++z)
+          acc[j * W + z] = rec.f.add(acc[j * W + z],
+                                     L.fold(&vals[j][z * rw], nl, W, lanes));
+      }
+      ctx.world.charge_compute(nl * batch * k);
+    }
+  };
+};
 
 }  // namespace detail
 
-/// Distributed k-path detection. `part` must have exactly opt.n1 parts.
-template <gf::GaloisField F>
-MidasResult midas_kpath(const graph::Graph& g,
-                        const partition::Partition& part,
-                        const MidasOptions& opt, const F& f = F{}) {
-  detail::require_options(part.parts == opt.n1,
-                          "partition must have N1 parts");
-  return detail::kpath_engine(partition::build_part_views(g, part), opt, f);
-}
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
 
 /// Distributed k-path detection over *pre-built* part views — the entry
 /// point for callers (the detection service, repeated-query sweeps) that
@@ -1048,9 +1343,17 @@ MidasResult midas_kpath(const graph::Graph& g,
 template <gf::GaloisField F>
 MidasResult midas_kpath_views(const std::vector<partition::PartView>& views,
                               const MidasOptions& opt, const F& f = F{}) {
-  detail::require_options(static_cast<int>(views.size()) == opt.n1,
-                          "views must have N1 parts");
-  return detail::kpath_engine(views, opt, f);
+  const detail::PathRec<F> rec(views, opt, f);
+  return detail::run_driver(views, opt, f, rec).result;
+}
+
+/// Distributed k-path detection. `part` must have exactly opt.n1 parts.
+template <gf::GaloisField F>
+MidasResult midas_kpath(const graph::Graph& g,
+                        const partition::Partition& part,
+                        const MidasOptions& opt, const F& f = F{}) {
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
+  return midas_kpath_views(partition::build_part_views(g, part), opt, f);
 }
 
 /// Distributed *directed* k-path detection: the same engine over
@@ -1059,15 +1362,9 @@ template <gf::GaloisField F>
 MidasResult midas_kpath_directed(const graph::DiGraph& g,
                                  const partition::Partition& part,
                                  const MidasOptions& opt, const F& f = F{}) {
-  detail::require_options(part.parts == opt.n1,
-                          "partition must have N1 parts");
-  return detail::kpath_engine(partition::build_dipart_views(g, part), opt,
-                              f);
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
+  return midas_kpath_views(partition::build_dipart_views(g, part), opt, f);
 }
-
-// ---------------------------------------------------------------------------
-// k-tree
-// ---------------------------------------------------------------------------
 
 /// Distributed k-tree detection over pre-built part views (the
 /// artifact-cached twin of midas_ktree; see midas_kpath_views).
@@ -1075,346 +1372,9 @@ template <gf::GaloisField F>
 MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
                               const TreeDecomposition& td,
                               const MidasOptions& opt, const F& f = F{}) {
-  using V = typename F::value_type;
-  detail::require_options(static_cast<int>(views.size()) == opt.n1,
-                          "views must have N1 parts");
   detail::require_options(td.k() == opt.k, "template size must equal opt.k");
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
-  const Schedule sched =
-      make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const int k = opt.k;
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
-  const auto& subs = td.subtemplates();
-
-  // Which subtemplates ever appear as a child2 (their values cross parts).
-  std::vector<bool> needs_exchange(subs.size(), false);
-  for (const auto& sub : subs)
-    if (sub.child1 >= 0)
-      needs_exchange[static_cast<std::size_t>(sub.child2)] = true;
-
-  MidasResult result;
-  Timer wall;
-  std::vector<int> round_found(static_cast<std::size_t>(opt.rounds()), 0);
-  // No failover here (only the k-path engine masks failures), but faults
-  // still terminate with typed errors instead of hangs.
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-
-  // The decomposition shape feeds the config fingerprint: resuming a
-  // snapshot against a different template must be rejected.
-  std::uint64_t tmpl_hash = 0;
-  {
-    std::vector<std::uint64_t> tw;
-    tw.reserve(subs.size() * 3 + 1);
-    tw.push_back(static_cast<std::uint64_t>(td.root_id()));
-    for (const auto& sub : subs) {
-      tw.push_back(static_cast<std::uint64_t>(sub.child1));
-      tw.push_back(static_cast<std::uint64_t>(sub.child2));
-      tw.push_back(static_cast<std::uint64_t>(sub.template_vertex));
-    }
-    tmpl_hash =
-        runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(tw)));
-  }
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x6b74726565ULL /* "ktree" */, opt, sopt, sizeof(V),
-      views, tmpl_hash);
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/1,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    for (int r = 0; r < start_round; ++r)
-      round_found[static_cast<std::size_t>(r)] =
-          cs.loaded.driver_state[static_cast<std::size_t>(r)];
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&round_found](int rounds_done) {
-    std::vector<std::uint8_t> s(static_cast<std::size_t>(rounds_done));
-    for (int r = 0; r < rounds_done; ++r)
-      s[static_cast<std::size_t>(r)] =
-          static_cast<std::uint8_t>(round_found[static_cast<std::size_t>(r)]);
-    return s;
-  };
-
-  auto spmd = runtime::run_spmd(opt.n_ranks, opt.model, sopt,
-                                [&](runtime::Comm& world) {
-    const int group_color = world.rank() / opt.n1;
-    runtime::Comm group = world.split(group_color, world.rank() % opt.n1);
-    world.resume_sync();
-    const auto& view = views[static_cast<std::size_t>(group.rank())];
-    const std::uint32_t nl = view.num_local();
-    const std::uint32_t ng = view.num_ghosts();
-
-    std::vector<std::uint32_t> v(nl);
-    std::vector<std::vector<V>> vals(subs.size());
-    std::vector<std::vector<V>> ghost(subs.size());
-
-    // Bit-sliced state: plane arrays mirror vals/ghost subtemplate by
-    // subtemplate, with scalar staging rows so halo payloads stay
-    // byte-identical to the scalar kernel's (layout notes in the k-path
-    // engine and docs/ALGORITHM.md section 6).
-    std::optional<gf::BitslicedGF> bse;
-    std::vector<std::vector<std::uint64_t>> bvals, bgh;
-    std::vector<std::uint64_t> blive;
-    std::vector<V> stage_out, stage_ghost;
-    const std::vector<std::uint32_t>& boundary = view.boundary;
-    if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) {
-        bse.emplace(f);
-        bvals.resize(subs.size());
-        bgh.resize(subs.size());
-      }
-    }
-
-    auto run_phase_scalar = [&](int round, std::uint64_t phase, V& total) {
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
-      const std::uint64_t working_set =
-          adj_bytes + static_cast<std::uint64_t>(subs.size()) * nl *
-                          batch * sizeof(V);
-
-      for (std::size_t s = 0; s < subs.size(); ++s) {
-        const auto& sub = subs[s];
-        auto& out = vals[s];
-        out.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-        std::uint64_t ops = 0;
-        if (sub.child1 < 0) {
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const V coeff =
-                field_coeff(f, opt.seed, round, view.vertices[li],
-                            static_cast<std::uint32_t>(s));
-            V* row = out.data() + static_cast<std::size_t>(li) * batch;
-            for (std::size_t b = 0; b < batch; ++b) {
-              const auto q = static_cast<std::uint32_t>(q0 + b);
-              row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
-            }
-          }
-          ops = static_cast<std::uint64_t>(nl) * batch;
-        } else {
-          const auto& own = vals[static_cast<std::size_t>(sub.child1)];
-          const auto& oth = vals[static_cast<std::size_t>(sub.child2)];
-          const auto& oth_ghost =
-              ghost[static_cast<std::size_t>(sub.child2)];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            V* row = out.data() + static_cast<std::size_t>(li) * batch;
-            const auto begin = view.adj_offsets[li];
-            const auto end = view.adj_offsets[li + 1];
-            for (auto e = begin; e < end; ++e) {
-              const auto ref = view.adj[e];
-              const V* src =
-                  ref.is_ghost()
-                      ? oth_ghost.data() +
-                            static_cast<std::size_t>(ref.index()) * batch
-                      : oth.data() +
-                            static_cast<std::size_t>(ref.index()) * batch;
-              for (std::size_t b = 0; b < batch; ++b)
-                row[b] = f.add(row[b], src[b]);
-            }
-            ops += (end - begin) * batch;
-            const V* own_row =
-                own.data() + static_cast<std::size_t>(li) * batch;
-            for (std::size_t b = 0; b < batch; ++b)
-              row[b] = f.mul(own_row[b], row[b]);
-            ops += batch;
-          }
-        }
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        if (needs_exchange[s]) {
-          auto& gbuf = ghost[s];
-          gbuf.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-          detail::halo_exchange(group, view, out, gbuf, batch);
-        }
-      }
-      detail::accumulate_level(
-          f, vals[static_cast<std::size_t>(td.root_id())],
-          static_cast<std::size_t>(nl) * batch, total);
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    };
-
-    // The same phase, bit-sliced: leaves broadcast their coefficient into
-    // the live lanes of each 64-iteration block, internal subtemplates do
-    // a lane-wise multiply of the own chain against the neighbor sum.
-    // Charges and halo bytes mirror the scalar kernel exactly.
-    auto run_phase_bs = [&](const auto& bs, int round, std::uint64_t phase,
-                            V& total) {
-      using BS = gf::BitslicedGF;
-      using word = BS::word;
-      const int L = bs.words();
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-      const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
-      const std::uint64_t working_set =
-          adj_bytes + static_cast<std::uint64_t>(subs.size()) * nl *
-                          batch * sizeof(V);
-      auto lanes_of = [&](std::size_t blk) {
-        return static_cast<int>(
-            std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-      };
-
-      // One parity mask per (vertex, block), shared by every leaf.
-      blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-      for (std::uint32_t li = 0; li < nl; ++li)
-        for (std::size_t blk = 0; blk < nblocks; ++blk)
-          blive[static_cast<std::size_t>(li) * nblocks + blk] =
-              BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
-      stage_out.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-
-      for (std::size_t s = 0; s < subs.size(); ++s) {
-        const auto& sub = subs[s];
-        auto& out = bvals[s];
-        out.assign(static_cast<std::size_t>(nl) * wpv, 0);
-        std::uint64_t ops = 0;
-        if (sub.child1 < 0) {
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const V coeff =
-                field_coeff(f, opt.seed, round, view.vertices[li],
-                            static_cast<std::uint32_t>(s));
-            for (std::size_t blk = 0; blk < nblocks; ++blk)
-              bs.broadcast(
-                  &out[static_cast<std::size_t>(li) * wpv + blk * L],
-                  static_cast<BS::value_type>(coeff),
-                  blive[static_cast<std::size_t>(li) * nblocks + blk]);
-          }
-          ops = static_cast<std::uint64_t>(nl) * batch;
-        } else {
-          const auto& own = bvals[static_cast<std::size_t>(sub.child1)];
-          const auto& oth = bvals[static_cast<std::size_t>(sub.child2)];
-          const auto& oth_ghost = bgh[static_cast<std::size_t>(sub.child2)];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const auto begin = view.adj_offsets[li];
-            const auto end = view.adj_offsets[li + 1];
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              word* dst = &out[static_cast<std::size_t>(li) * wpv + blk * L];
-              const word* own_blk =
-                  &own[static_cast<std::size_t>(li) * wpv + blk * L];
-              if (bs.is_zero(own_blk)) continue;  // product stays zero
-              word acc[16] = {};
-              for (auto e = begin; e < end; ++e) {
-                const auto ref = view.adj[e];
-                const word* src =
-                    ref.is_ghost()
-                        ? &oth_ghost[static_cast<std::size_t>(ref.index()) *
-                                         wpv +
-                                     blk * L]
-                        : &oth[static_cast<std::size_t>(ref.index()) * wpv +
-                               blk * L];
-                bs.add_into(acc, src);
-              }
-              bs.mul(dst, own_blk, acc);
-            }
-          }
-          // Same logical work as the scalar kernel: one add per adjacency
-          // entry per lane plus one multiply per vertex-lane.
-          ops = (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
-        }
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        if (needs_exchange[s]) {
-          // Halo in the scalar byte layout: transpose boundary blocks to
-          // values, exchange, transpose ghosts back to planes.
-          for (std::uint32_t li : boundary)
-            for (std::size_t blk = 0; blk < nblocks; ++blk)
-              bs.unpack_lanes(
-                  stage_out.data() + static_cast<std::size_t>(li) * batch +
-                      blk * BS::kLanes,
-                  &out[static_cast<std::size_t>(li) * wpv + blk * L],
-                  lanes_of(blk));
-          stage_ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-          detail::halo_exchange(group, view, stage_out, stage_ghost, batch);
-          auto& gbuf = bgh[s];
-          gbuf.assign(static_cast<std::size_t>(ng) * wpv, 0);
-          for (std::uint32_t gi = 0; gi < ng; ++gi)
-            for (std::size_t blk = 0; blk < nblocks; ++blk)
-              bs.pack_lanes(
-                  &gbuf[static_cast<std::size_t>(gi) * wpv + blk * L],
-                  stage_ghost.data() + static_cast<std::size_t>(gi) * batch +
-                      blk * BS::kLanes,
-                  lanes_of(blk));
-        }
-      }
-      const auto& root = bvals[static_cast<std::size_t>(td.root_id())];
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        word sum[16] = {};
-        for (std::uint32_t li = 0; li < nl; ++li)
-          bs.add_into(sum,
-                      &root[static_cast<std::size_t>(li) * wpv + blk * L]);
-        total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    };
-
-    auto run_phase = [&](int round, std::uint64_t phase, V& total) {
-      MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                 : "engine.phase.scalar",
-                       {"phase", static_cast<std::int64_t>(phase)});
-      [[maybe_unused]] const double vt0 = world.vclock();
-      if constexpr (gf::Bitsliceable<F>) {
-        if (bitsliced) {
-          run_phase_bs(*bse, round, phase, total);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-          return;
-        }
-      }
-      run_phase_scalar(round, phase, total);
-      MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                          (world.vclock() - vt0) * 1e9);
-    };
-
-    for (int round = start_round; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("engine.round", {"round", round});
-      for (std::uint32_t li = 0; li < nl; ++li)
-        v[li] = v_vector(opt.seed, round, view.vertices[li], k);
-      V total = f.zero();
-      for (std::uint64_t phase = group_color; phase < sched.phases();
-           phase += sched.groups())
-        run_phase(round, phase, total);
-      V buf = total;
-      world.allreduce<V>(std::span<V>(&buf, 1),
-                         [&f](V& a, const V& b) { a = f.add(a, b); });
-      if (world.rank() == 0 && buf != f.zero())
-        round_found[static_cast<std::size_t>(round)] = 1;
-      world.barrier();
-      if (cs.armed() && (round + 1) % opt.checkpoint.every_rounds == 0 &&
-          round + 1 < opt.rounds() && !(opt.early_exit && buf != f.zero())) {
-        detail::take_snapshot(world, cs, chash, round + 1, 0,
-                              opt.checkpoint.rng_state, accum_stage,
-                              [&] { return driver_state_upto(round + 1); });
-      }
-      if (opt.early_exit && buf != f.zero()) break;
-    }
-  });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  result.failed_ranks = spmd.failed_ranks;
-  for (int round = 0; round < opt.rounds(); ++round) {
-    ++result.rounds_run;
-    if (round_found[static_cast<std::size_t>(round)]) {
-      result.found = true;
-      result.found_round = round;
-      break;
-    }
-  }
-  if (!opt.early_exit) result.rounds_run = opt.rounds();
-  return result;
+  const detail::TreeRec<F> rec(opt, f, td);
+  return detail::run_driver(views, opt, f, rec).result;
 }
 
 /// Distributed k-tree detection for a template decomposition.
@@ -1423,23 +1383,9 @@ MidasResult midas_ktree(const graph::Graph& g,
                         const partition::Partition& part,
                         const TreeDecomposition& td, const MidasOptions& opt,
                         const F& f = F{}) {
-  detail::require_options(part.parts == opt.n1,
-                          "partition must have N1 parts");
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
   return midas_ktree_views(partition::build_part_views(g, part), td, opt, f);
 }
-
-// ---------------------------------------------------------------------------
-// Scan statistics
-// ---------------------------------------------------------------------------
-
-struct MidasScanResult {
-  FeasibilityTable table;
-  double vtime = 0.0;
-  double wall_s = 0.0;
-  runtime::CommStats total_stats;
-  std::vector<double> vclocks;
-  int resumed_from_round = -1;  // snapshot round this run resumed at
-};
 
 /// Distributed (size, weight) feasibility for connected subgraphs — the
 /// parallel form of Algorithm 5. Messages carry the whole weight axis, so a
@@ -1449,899 +1395,72 @@ MidasScanResult midas_scan_views(
     const std::vector<partition::PartView>& views,
     const std::vector<std::uint32_t>& weights, const MidasOptions& opt,
     const F& f = F{}) {
-  using V = typename F::value_type;
-  detail::require_options(static_cast<int>(views.size()) == opt.n1,
-                          "views must have N1 parts");
-  {
-    std::size_t total_local = 0;
-    for (const auto& view : views) total_local += view.num_local();
-    detail::require_options(weights.size() == total_local,
-                            "one weight per vertex required");
-  }
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
-  const Schedule sched =
-      make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const int k = opt.k;
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
-
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
-  const std::uint32_t width = wmax + 1;
-
-  MidasScanResult result;
-  result.table.k = k;
-  result.table.max_weight = wmax;
-  result.table.feasible.assign(static_cast<std::size_t>(k) + 1,
-                               std::vector<bool>(width, false));
-  Timer wall;
-  // Per-round detection table gathered at world rank 0 via allreduce; one
-  // slot per (round, j, z). This is exactly the driver state a snapshot
-  // persists: one (k+1)*width stride per completed round.
-  const std::size_t round_stride =
-      static_cast<std::size_t>(k + 1) * width;
-  std::vector<std::uint8_t> found_cells(
-      static_cast<std::size_t>(opt.rounds()) * round_stride, 0);
-
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x7363616eULL /* "scan" */, opt, sopt, sizeof(V), views,
-      runtime::fnv1a(std::as_bytes(std::span<const std::uint32_t>(weights))));
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/round_stride,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    std::copy(cs.loaded.driver_state.begin(), cs.loaded.driver_state.end(),
-              found_cells.begin());
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&found_cells, round_stride](int rounds_done) {
-    return std::vector<std::uint8_t>(
-        found_cells.begin(),
-        found_cells.begin() +
-            static_cast<std::ptrdiff_t>(
-                static_cast<std::size_t>(rounds_done) * round_stride));
-  };
-
-  runtime::SpmdResult spmd = runtime::run_spmd(
-      opt.n_ranks, opt.model, sopt,
-      [&](runtime::Comm& world) {
-        const int group_color = world.rank() / opt.n1;
-        runtime::Comm group =
-            world.split(group_color, world.rank() % opt.n1);
-        world.resume_sync();
-        const auto& view = views[static_cast<std::size_t>(group.rank())];
-        const std::uint32_t nl = view.num_local();
-        const std::uint32_t ng = view.num_ghosts();
-
-        std::vector<std::uint32_t> v(nl);
-        // vals[j][(li * width + z) * batch + b] — vertex-major so that one
-        // vertex's whole (weight x batch) block is a contiguous message
-        // payload; ghost mirrors the layout with ghost indices.
-        std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
-        std::vector<std::vector<V>> ghost(static_cast<std::size_t>(k) + 1);
-        // accum[j][z]: XOR over phases/iterations of sum_i P(i,q,j,z).
-        std::vector<V> accum(static_cast<std::size_t>(k + 1) * width);
-        std::vector<V> scratch;
-
-        // Bit-sliced state: per-layer plane arrays with the same
-        // (vertex, weight) nesting, plus scalar staging so halo payloads
-        // stay byte-identical to the scalar kernel's.
-        std::optional<gf::BitslicedGF> bse;
-        std::vector<std::vector<std::uint64_t>> bvals(
-            static_cast<std::size_t>(k) + 1);
-        std::vector<std::vector<std::uint64_t>> bghost(
-            static_cast<std::size_t>(k) + 1);
-        std::vector<std::uint64_t> blive;
-        std::vector<V> stage_out, stage_ghost;
-        const std::vector<std::uint32_t>& boundary = view.boundary;
-        if constexpr (gf::Bitsliceable<F>) {
-          if (bitsliced) bse.emplace(f);
-        }
-
-        auto run_phase_scalar = [&](int round, std::uint64_t phase) {
-          const auto [q0, q1] = sched.phase_range(phase);
-          const std::size_t batch = q1 - q0;
-          for (int j = 1; j <= k; ++j) {
-            vals[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(width) * nl * batch, f.zero());
-            ghost[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(width) * ng * batch, f.zero());
-          }
-          scratch.assign(batch, f.zero());
-          const std::uint64_t adj_bytes =
-              view.adj.size() * sizeof(partition::NbrRef) +
-              view.adj_offsets.size() * sizeof(std::uint64_t);
-          const std::uint64_t working_set =
-              adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
-                              width * batch * sizeof(V);
-
-          // Base case.
-          auto& base = vals[1];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const graph::VertexId gid = view.vertices[li];
-            const V coeff = field_coeff(f, opt.seed, round, gid, 1);
-            V* row = base.data() +
-                     (static_cast<std::size_t>(li) * width +
-                      weights[gid]) *
-                         batch;
-            for (std::size_t b = 0; b < batch; ++b) {
-              const auto q = static_cast<std::uint32_t>(q0 + b);
-              row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
-            }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          detail::halo_exchange(group, view, vals[1], ghost[1],
-                                batch * width);
-
-          for (int j = 2; j <= k; ++j) {
-            auto& out = vals[static_cast<std::size_t>(j)];
-            std::uint64_t ops = 0;
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              const auto begin = view.adj_offsets[li];
-              const auto end = view.adj_offsets[li + 1];
-              for (auto e = begin; e < end; ++e) {
-                const auto ref = view.adj[e];
-                const bool is_ghost = ref.is_ghost();
-                const std::uint32_t idx = ref.index();
-                const graph::VertexId u_gid =
-                    is_ghost ? view.ghosts[idx] : view.vertices[idx];
-                const V sig =
-                    sigma_coeff(f, opt.seed, round, gid, u_gid,
-                                static_cast<std::uint32_t>(j));
-                for (int j1 = 1; j1 <= j - 1; ++j1) {
-                  const auto& own = vals[static_cast<std::size_t>(j1)];
-                  const auto& oth_local =
-                      vals[static_cast<std::size_t>(j - j1)];
-                  const auto& oth_ghost =
-                      ghost[static_cast<std::size_t>(j - j1)];
-                  const V* oth_vertex =
-                      (is_ghost ? oth_ghost.data() : oth_local.data()) +
-                      static_cast<std::size_t>(idx) * width * batch;
-                  const V* own_vertex =
-                      own.data() +
-                      static_cast<std::size_t>(li) * width * batch;
-                  V* out_vertex =
-                      out.data() +
-                      static_cast<std::size_t>(li) * width * batch;
-                  for (std::uint32_t z = 0; z < width; ++z) {
-                    V* row = out_vertex + static_cast<std::size_t>(z) * batch;
-                    // Convolve into a scratch row, then fold it in with a
-                    // single row-wide scale by sig (one log lookup).
-                    std::fill(scratch.begin(), scratch.end(), f.zero());
-                    for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                      const V* a =
-                          own_vertex + static_cast<std::size_t>(z1) * batch;
-                      const V* bvals =
-                          oth_vertex +
-                          static_cast<std::size_t>(z - z1) * batch;
-                      gf::mul_add_rows(f, scratch.data(), a, bvals, batch);
-                    }
-                    gf::scale_add_row(f, row, sig, scratch.data(), batch);
-                    ops += static_cast<std::uint64_t>(z + 1) * batch;
-                  }
-                }
-              }
-            }
-            world.charge_compute(ops);
-            world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-            if (j < k)
-              detail::halo_exchange(group, view,
-                                    vals[static_cast<std::size_t>(j)],
-                                    ghost[static_cast<std::size_t>(j)],
-                                    batch * width);
-          }
-          // Accumulate per-(j,z) sums. As in the sequential detector,
-          // size-j sums only fold iterations q < 2^j (degree-j detection
-          // lives in the 2^j-element subgroup; folding all 2^k iterations
-          // would cancel every size < k).
-          for (int j = 1; j <= k; ++j) {
-            const std::uint64_t jlimit = std::uint64_t{1} << j;
-            if (q0 >= jlimit) continue;
-            const std::size_t bmax =
-                std::min<std::uint64_t>(batch, jlimit - q0);
-            const auto& layer = vals[static_cast<std::size_t>(j)];
-            V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const V* vertex_block =
-                  layer.data() + static_cast<std::size_t>(li) * width * batch;
-              for (std::uint32_t z = 0; z < width; ++z) {
-                const V* row =
-                    vertex_block + static_cast<std::size_t>(z) * batch;
-                for (std::size_t b = 0; b < bmax; ++b)
-                  acc_row[z] = f.add(acc_row[z], row[b]);
-              }
-            }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
-        };
-
-        // The same phase, bit-sliced. For each (vertex, edge, weight z) the
-        // weight convolution accumulates lane-wise products into one block,
-        // then one sigma matrix apply folds it into the output — value-
-        // identical to the scalar kernel by distributivity. Charges and
-        // halo bytes mirror the scalar kernel exactly.
-        auto run_phase_bs = [&](const auto& bs, int round,
-                                std::uint64_t phase) {
-          using BS = gf::BitslicedGF;
-          using word = BS::word;
-          const int L = bs.words();
-          const auto [q0, q1] = sched.phase_range(phase);
-          const std::size_t batch = q1 - q0;
-          const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-          const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-          const std::size_t wrow = static_cast<std::size_t>(width) * wpv;
-          for (int j = 1; j <= k; ++j) {
-            bvals[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(nl) * wrow, 0);
-            bghost[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(ng) * wrow, 0);
-          }
-          stage_out.assign(static_cast<std::size_t>(width) * nl * batch,
-                           f.zero());
-          const std::uint64_t adj_bytes =
-              view.adj.size() * sizeof(partition::NbrRef) +
-              view.adj_offsets.size() * sizeof(std::uint64_t);
-          const std::uint64_t working_set =
-              adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
-                              width * batch * sizeof(V);
-          auto lanes_of = [&](std::size_t blk) {
-            return static_cast<int>(
-                std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-          };
-          // Halo in the scalar byte layout: each boundary vertex ships its
-          // whole (weight x batch) block, transposed to values on send and
-          // back to planes on receive.
-          auto exchange_layer = [&](int j) {
-            const auto& src = bvals[static_cast<std::size_t>(j)];
-            for (std::uint32_t li : boundary)
-              for (std::uint32_t z = 0; z < width; ++z)
-                for (std::size_t blk = 0; blk < nblocks; ++blk)
-                  bs.unpack_lanes(
-                      stage_out.data() +
-                          (static_cast<std::size_t>(li) * width + z) * batch +
-                          blk * BS::kLanes,
-                      &src[static_cast<std::size_t>(li) * wrow + z * wpv +
-                           blk * L],
-                      lanes_of(blk));
-            stage_ghost.assign(static_cast<std::size_t>(width) * ng * batch,
-                               f.zero());
-            detail::halo_exchange(group, view, stage_out, stage_ghost,
-                                  batch * width);
-            auto& gbuf = bghost[static_cast<std::size_t>(j)];
-            for (std::uint32_t gi = 0; gi < ng; ++gi)
-              for (std::uint32_t z = 0; z < width; ++z)
-                for (std::size_t blk = 0; blk < nblocks; ++blk)
-                  bs.pack_lanes(
-                      &gbuf[static_cast<std::size_t>(gi) * wrow + z * wpv +
-                            blk * L],
-                      stage_ghost.data() +
-                          (static_cast<std::size_t>(gi) * width + z) * batch +
-                          blk * BS::kLanes,
-                      lanes_of(blk));
-          };
-
-          // Base case: liveness parity masks, coefficient broadcast at the
-          // vertex's own weight.
-          blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-          auto& base = bvals[1];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const graph::VertexId gid = view.vertices[li];
-            const V coeff = field_coeff(f, opt.seed, round, gid, 1);
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              const word m =
-                  BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
-              blive[static_cast<std::size_t>(li) * nblocks + blk] = m;
-              bs.broadcast(&base[static_cast<std::size_t>(li) * wrow +
-                                 weights[gid] * wpv + blk * L],
-                           static_cast<BS::value_type>(coeff), m);
-            }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          exchange_layer(1);
-
-          for (int j = 2; j <= k; ++j) {
-            auto& out = bvals[static_cast<std::size_t>(j)];
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              const auto begin = view.adj_offsets[li];
-              const auto end = view.adj_offsets[li + 1];
-              for (auto e = begin; e < end; ++e) {
-                const auto ref = view.adj[e];
-                const bool is_ghost = ref.is_ghost();
-                const std::uint32_t idx = ref.index();
-                const graph::VertexId u_gid =
-                    is_ghost ? view.ghosts[idx] : view.vertices[idx];
-                const BS::Matrix sig = bs.matrix(
-                    static_cast<BS::value_type>(sigma_coeff(
-                        f, opt.seed, round, gid, u_gid,
-                        static_cast<std::uint32_t>(j))));
-                for (std::uint32_t z = 0; z < width; ++z)
-                  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-                    word acc[16] = {};
-                    word prod[16];
-                    bool any = false;
-                    for (int j1 = 1; j1 <= j - 1; ++j1) {
-                      const auto& own = bvals[static_cast<std::size_t>(j1)];
-                      const auto& oth =
-                          is_ghost
-                              ? bghost[static_cast<std::size_t>(j - j1)]
-                              : bvals[static_cast<std::size_t>(j - j1)];
-                      const word* own_v =
-                          own.data() + static_cast<std::size_t>(li) * wrow;
-                      const word* oth_v =
-                          oth.data() + static_cast<std::size_t>(idx) * wrow;
-                      for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                        const word* a = own_v + z1 * wpv + blk * L;
-                        if (bs.is_zero(a)) continue;
-                        const word* bb = oth_v + (z - z1) * wpv + blk * L;
-                        if (bs.is_zero(bb)) continue;
-                        bs.mul(prod, a, bb);
-                        bs.add_into(acc, prod);
-                        any = true;
-                      }
-                    }
-                    if (!any) continue;
-                    word scaled[16];
-                    bs.mul_matrix(scaled, sig, acc);
-                    bs.add_into(&out[static_cast<std::size_t>(li) * wrow +
-                                     z * wpv + blk * L],
-                                scaled);
-                  }
-              }
-            }
-            // Same logical work as the scalar kernel's (edge, j1, z, z1)
-            // sweep, in closed form.
-            const std::uint64_t ops =
-                view.adj.size() * static_cast<std::uint64_t>(j - 1) *
-                (static_cast<std::uint64_t>(width) * (width + 1) / 2) *
-                batch;
-            world.charge_compute(ops);
-            world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-            if (j < k) exchange_layer(j);
-          }
-          // Accumulate per-(j,z) sums with the same q < 2^j lane cutoff.
-          for (int j = 1; j <= k; ++j) {
-            const std::uint64_t jlimit = std::uint64_t{1} << j;
-            if (q0 >= jlimit) continue;
-            const std::size_t bmax =
-                std::min<std::uint64_t>(batch, jlimit - q0);
-            const auto& layer = bvals[static_cast<std::size_t>(j)];
-            V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
-            for (std::uint32_t z = 0; z < width; ++z)
-              for (std::size_t blk = 0; blk < nblocks; ++blk) {
-                if (blk * BS::kLanes >= bmax) break;
-                const std::size_t lv =
-                    std::min<std::size_t>(BS::kLanes, bmax - blk * BS::kLanes);
-                const word m = lv >= BS::kLanes
-                                   ? ~word{0}
-                                   : (word{1} << lv) - 1;
-                word sum[16] = {};
-                for (std::uint32_t li = 0; li < nl; ++li)
-                  bs.add_into(sum, &layer[static_cast<std::size_t>(li) * wrow +
-                                          z * wpv + blk * L]);
-                acc_row[z] =
-                    f.add(acc_row[z], static_cast<V>(bs.fold_xor(sum, m)));
-              }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
-        };
-
-        auto run_phase = [&](int round, std::uint64_t phase) {
-          MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                     : "engine.phase.scalar",
-                           {"phase", static_cast<std::int64_t>(phase)});
-          [[maybe_unused]] const double vt0 = world.vclock();
-          if constexpr (gf::Bitsliceable<F>) {
-            if (bitsliced) {
-              run_phase_bs(*bse, round, phase);
-              MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                                  (world.vclock() - vt0) * 1e9);
-              return;
-            }
-          }
-          run_phase_scalar(round, phase);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-        };
-
-        for (int round = start_round; round < opt.rounds(); ++round) {
-          MIDAS_TRACE_SPAN("engine.round", {"round", round});
-          for (std::uint32_t li = 0; li < nl; ++li)
-            v[li] = v_vector(opt.seed, round, view.vertices[li], k);
-          std::fill(accum.begin(), accum.end(), f.zero());
-
-          for (std::uint64_t phase = group_color; phase < sched.phases();
-               phase += sched.groups())
-            run_phase(round, phase);
-          // Combine the accumulator across all ranks.
-          std::vector<V> buf(accum);
-          world.allreduce<V>(std::span<V>(buf),
-                             [&f](V& a, const V& b) { a = f.add(a, b); });
-          if (world.rank() == 0) {
-            for (int j = 1; j <= k; ++j)
-              for (std::uint32_t z = 0; z < width; ++z)
-                if (buf[static_cast<std::size_t>(j) * width + z] != f.zero())
-                  found_cells[(static_cast<std::size_t>(round) * (k + 1) +
-                               static_cast<std::size_t>(j)) *
-                                  width +
-                              z] = 1;
-          }
-          world.barrier();
-          if (cs.armed() &&
-              (round + 1) % opt.checkpoint.every_rounds == 0 &&
-              round + 1 < opt.rounds()) {
-            detail::take_snapshot(
-                world, cs, chash, round + 1, 0, opt.checkpoint.rng_state,
-                accum_stage, [&] { return driver_state_upto(round + 1); });
-          }
-        }
-      });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  for (int round = 0; round < opt.rounds(); ++round)
-    for (int j = 1; j <= k; ++j)
-      for (std::uint32_t z = 0; z < width; ++z)
-        if (found_cells[(static_cast<std::size_t>(round) * (k + 1) +
-                         static_cast<std::size_t>(j)) *
-                            width +
-                        z])
-          result.table.feasible[static_cast<std::size_t>(j)][z] = true;
+  detail::require_vertex_values(views, weights.size(),
+                                "one weight per vertex required");
+  const detail::LayeredRec<F> rec{
+      f, opt, &weights, nullptr,
+      runtime::fnv1a(std::as_bytes(std::span(weights)))};
+  detail::DriverRun run = detail::run_driver(views, opt, f, rec);
+  const MidasResult& r = run.result;
+  MidasScanResult result{
+      {opt.k, rec.width - 1,
+       std::vector(static_cast<std::size_t>(opt.k) + 1,
+                   std::vector<bool>(rec.width, false))},
+      r.vtime, r.wall_s, r.total_stats, r.vclocks, r.resumed_from_round};
+  for (int j = 1; j <= opt.k; ++j)
+    for (std::uint32_t z = 0; z < rec.width; ++z)
+      result.table.feasible[static_cast<std::size_t>(j)][z] =
+          run.any(static_cast<std::size_t>(j) * rec.width + z);
   return result;
 }
 
-/// Distributed scan feasibility over a (graph, partition) pair; builds the
-/// part views and delegates to midas_scan_views.
+/// Distributed scan feasibility over a (graph, partition) pair.
 template <gf::GaloisField F>
 MidasScanResult midas_scan(const graph::Graph& g,
                            const partition::Partition& part,
                            const std::vector<std::uint32_t>& weights,
                            const MidasOptions& opt, const F& f = F{}) {
-  detail::require_options(part.parts == opt.n1,
-                          "partition must have N1 parts");
-  detail::require_options(weights.size() == g.num_vertices(),
-                          "one weight per vertex required");
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
   return midas_scan_views(partition::build_part_views(g, part), weights, opt,
                           f);
 }
 
-// ---------------------------------------------------------------------------
-// Constrained (Graph Motif) detection, distributed
-// ---------------------------------------------------------------------------
-
 /// Distributed Graph Motif detection over pre-built part views: the
-/// constrained sieve of core/motif.hpp on a scan-style layered DP (no
-/// weight axis), with the k-tree driver's round/checkpoint/allreduce shape.
-/// `colors` is indexed by *global* vertex id; `opt.k` must equal
-/// `motif.size()`. Halo payloads travel in the scalar byte layout under
-/// both kernels, so checkpoints and the watchdog stay kernel-independent;
-/// answers are bit-identical to detect_motif_seq for the same seed.
+/// constrained sieve of core/motif.hpp on the scan recurrence at weight
+/// width 1. `colors` is indexed by *global* vertex id; `opt.k` must equal
+/// `motif.size()`. Answers are bit-identical to detect_motif_seq for the
+/// same seed.
 template <gf::GaloisField F>
 MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
                               const std::vector<std::uint32_t>& colors,
                               const std::vector<std::uint32_t>& motif,
                               const MidasOptions& opt, const F& f = F{}) {
-  using V = typename F::value_type;
-  detail::require_options(static_cast<int>(views.size()) == opt.n1,
-                          "views must have N1 parts");
-  {
-    std::size_t total_local = 0;
-    for (const auto& view : views) total_local += view.num_local();
-    detail::require_options(colors.size() == total_local,
-                            "one color per vertex required");
-  }
+  detail::require_vertex_values(views, colors.size(),
+                                "one color per vertex required");
   detail::require_options(
       opt.k == static_cast<int>(motif.size()),
       "opt.k must equal the motif size (one shade per motif slot)");
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
   const ShadePlan plan = make_shade_plan(colors, motif);
-  const int k = plan.k;
-  const Schedule sched =
-      make_schedule(k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
-
-  MidasResult result;
-  Timer wall;
-  std::vector<int> round_found(static_cast<std::size_t>(opt.rounds()), 0);
-  // No failover here (only the k-path engine masks failures), but faults
-  // still terminate with typed errors instead of hangs.
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-
-  // The colors and the motif multiset feed the config fingerprint: a
-  // snapshot must not resume against a differently-colored input.
-  std::uint64_t cm_hash = 0;
-  {
-    std::vector<std::uint64_t> cw;
-    cw.reserve(colors.size() + motif.size() + 1);
-    cw.push_back(static_cast<std::uint64_t>(colors.size()));
-    for (const auto c : colors) cw.push_back(c);
-    for (const auto c : motif) cw.push_back(c);
-    cm_hash =
-        runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(cw)));
-  }
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x6d6f746966ULL /* "motif" */, opt, sopt, sizeof(V),
-      views, cm_hash);
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/1,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    for (int r = 0; r < start_round; ++r)
-      round_found[static_cast<std::size_t>(r)] =
-          cs.loaded.driver_state[static_cast<std::size_t>(r)];
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&round_found](int rounds_done) {
-    std::vector<std::uint8_t> s(static_cast<std::size_t>(rounds_done));
-    for (int r = 0; r < rounds_done; ++r)
-      s[static_cast<std::size_t>(r)] =
-          static_cast<std::uint8_t>(round_found[static_cast<std::size_t>(r)]);
-    return s;
-  };
-
-  auto spmd = runtime::run_spmd(opt.n_ranks, opt.model, sopt,
-                                [&](runtime::Comm& world) {
-    const int group_color = world.rank() / opt.n1;
-    runtime::Comm group = world.split(group_color, world.rank() % opt.n1);
-    world.resume_sync();
-    const auto& view = views[static_cast<std::size_t>(group.rank())];
-    const std::uint32_t nl = view.num_local();
-    const std::uint32_t ng = view.num_ghosts();
-
-    // us[li * k + s] = u_{gid(li),s}, refreshed per round; ghost leaf
-    // values arrive through the halo, never by recomputation.
-    std::vector<V> us(static_cast<std::size_t>(nl) * k);
-    std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
-    std::vector<std::vector<V>> ghost(static_cast<std::size_t>(k) + 1);
-    std::vector<V> scratch;
-
-    // Bit-sliced state: per-layer plane arrays plus scalar staging rows so
-    // halo payloads stay byte-identical to the scalar kernel's.
-    std::optional<gf::BitslicedGF> bse;
-    std::vector<gf::BitslicedGF::value_type> us16;
-    std::vector<std::vector<std::uint64_t>> bvals(
-        static_cast<std::size_t>(k) + 1);
-    std::vector<std::vector<std::uint64_t>> bghost(
-        static_cast<std::size_t>(k) + 1);
-    std::vector<V> stage_out, stage_ghost;
-    const std::vector<std::uint32_t>& boundary = view.boundary;
-    if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) {
-        bse.emplace(f);
-        us16.resize(static_cast<std::size_t>(nl) * k);
-      }
-    }
-
-    auto run_phase_scalar = [&](int round, std::uint64_t phase, V& total) {
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      for (int j = 1; j <= k; ++j) {
-        vals[static_cast<std::size_t>(j)].assign(
-            static_cast<std::size_t>(nl) * batch, f.zero());
-        ghost[static_cast<std::size_t>(j)].assign(
-            static_cast<std::size_t>(ng) * batch, f.zero());
-      }
-      scratch.assign(batch, f.zero());
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
-      const std::uint64_t working_set =
-          adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * batch *
-                          sizeof(V);
-
-      // Base case: the shade-subset leaf values d_i(t).
-      auto& base = vals[1];
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
-        const std::uint32_t mask = plan.vertex_mask[gid];
-        V* row = base.data() + static_cast<std::size_t>(li) * batch;
-        const V* urow = us.data() + static_cast<std::size_t>(li) * k;
-        for (std::size_t b = 0; b < batch; ++b)
-          row[b] = detail_motif::shade_value(
-              f, urow, mask, static_cast<std::uint32_t>(q0 + b));
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-      detail::halo_exchange(group, view, vals[1], ghost[1], batch);
-
-      for (int j = 2; j <= k; ++j) {
-        auto& out = vals[static_cast<std::size_t>(j)];
-        std::uint64_t ops = 0;
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const graph::VertexId gid = view.vertices[li];
-          V* row = out.data() + static_cast<std::size_t>(li) * batch;
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (auto e = begin; e < end; ++e) {
-            const auto ref = view.adj[e];
-            const bool is_ghost = ref.is_ghost();
-            const std::uint32_t idx = ref.index();
-            const graph::VertexId u_gid =
-                is_ghost ? view.ghosts[idx] : view.vertices[idx];
-            const V sig = sigma_coeff(f, opt.seed, round, gid, u_gid,
-                                      static_cast<std::uint32_t>(j));
-            // Convolve into a scratch row, then fold it in with a single
-            // row-wide scale by sig (one log lookup).
-            std::fill(scratch.begin(), scratch.end(), f.zero());
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const V* a = vals[static_cast<std::size_t>(j1)].data() +
-                           static_cast<std::size_t>(li) * batch;
-              const V* b = (is_ghost
-                                ? ghost[static_cast<std::size_t>(j - j1)]
-                                : vals[static_cast<std::size_t>(j - j1)])
-                               .data() +
-                           static_cast<std::size_t>(idx) * batch;
-              gf::mul_add_rows(f, scratch.data(), a, b, batch);
-            }
-            gf::scale_add_row(f, row, sig, scratch.data(), batch);
-            ops += static_cast<std::uint64_t>(j) * batch;
-          }
-        }
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        if (j < k)
-          detail::halo_exchange(group, view,
-                                vals[static_cast<std::size_t>(j)],
-                                ghost[static_cast<std::size_t>(j)], batch);
-      }
-      detail::accumulate_level(f, vals[static_cast<std::size_t>(k)],
-                               static_cast<std::size_t>(nl) * batch, total);
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    };
-
-    // The same phase, bit-sliced: leaf blocks come from the shade-plane
-    // construction (aligned fast path, per-lane fallback at unaligned
-    // phase bases), internal layers are the lane-wise convolution with one
-    // sigma matrix apply per (edge, block). Charges and halo bytes mirror
-    // the scalar kernel exactly.
-    auto run_phase_bs = [&](const auto& bs, int round, std::uint64_t phase,
-                            V& total) {
-      using BS = gf::BitslicedGF;
-      using word = BS::word;
-      const int L = bs.words();
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-      const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
-      const std::uint64_t working_set =
-          adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * batch *
-                          sizeof(V);
-      auto lanes_of = [&](std::size_t blk) {
-        return static_cast<int>(
-            std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-      };
-      for (int j = 1; j <= k; ++j) {
-        bvals[static_cast<std::size_t>(j)].assign(
-            static_cast<std::size_t>(nl) * wpv, 0);
-        bghost[static_cast<std::size_t>(j)].assign(
-            static_cast<std::size_t>(ng) * wpv, 0);
-      }
-      stage_out.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-      // Halo in the scalar byte layout: transpose boundary blocks to
-      // values, exchange, transpose ghosts back to planes.
-      auto exchange_layer = [&](int j) {
-        const auto& src = bvals[static_cast<std::size_t>(j)];
-        for (std::uint32_t li : boundary)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.unpack_lanes(
-                stage_out.data() + static_cast<std::size_t>(li) * batch +
-                    blk * BS::kLanes,
-                &src[static_cast<std::size_t>(li) * wpv + blk * L],
-                lanes_of(blk));
-        stage_ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-        detail::halo_exchange(group, view, stage_out, stage_ghost, batch);
-        auto& gbuf = bghost[static_cast<std::size_t>(j)];
-        for (std::uint32_t gi = 0; gi < ng; ++gi)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.pack_lanes(
-                &gbuf[static_cast<std::size_t>(gi) * wpv + blk * L],
-                stage_ghost.data() + static_cast<std::size_t>(gi) * batch +
-                    blk * BS::kLanes,
-                lanes_of(blk));
-      };
-
-      auto& base = bvals[1];
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
-        const std::uint32_t mask = plan.vertex_mask[gid];
-        for (std::size_t blk = 0; blk < nblocks; ++blk)
-          detail_motif::shade_block(
-              bs, &base[static_cast<std::size_t>(li) * wpv + blk * L],
-              us16.data() + static_cast<std::size_t>(li) * k, mask, k,
-              q0 + blk * BS::kLanes, lanes_of(blk));
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-      exchange_layer(1);
-
-      for (int j = 2; j <= k; ++j) {
-        auto& out = bvals[static_cast<std::size_t>(j)];
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const graph::VertexId gid = view.vertices[li];
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (auto e = begin; e < end; ++e) {
-            const auto ref = view.adj[e];
-            const bool is_ghost = ref.is_ghost();
-            const std::uint32_t idx = ref.index();
-            const graph::VertexId u_gid =
-                is_ghost ? view.ghosts[idx] : view.vertices[idx];
-            const BS::Matrix sig = bs.matrix(
-                static_cast<BS::value_type>(sigma_coeff(
-                    f, opt.seed, round, gid, u_gid,
-                    static_cast<std::uint32_t>(j))));
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              word acc[16] = {};
-              word prod[16];
-              bool any = false;
-              for (int j1 = 1; j1 <= j - 1; ++j1) {
-                const word* a =
-                    &bvals[static_cast<std::size_t>(j1)]
-                          [static_cast<std::size_t>(li) * wpv + blk * L];
-                if (bs.is_zero(a)) continue;
-                const auto& oth =
-                    is_ghost ? bghost[static_cast<std::size_t>(j - j1)]
-                             : bvals[static_cast<std::size_t>(j - j1)];
-                const word* b =
-                    &oth[static_cast<std::size_t>(idx) * wpv + blk * L];
-                if (bs.is_zero(b)) continue;
-                bs.mul(prod, a, b);
-                bs.add_into(acc, prod);
-                any = true;
-              }
-              if (!any) continue;
-              word scaled[16];
-              bs.mul_matrix(scaled, sig, acc);
-              bs.add_into(
-                  &out[static_cast<std::size_t>(li) * wpv + blk * L],
-                  scaled);
-            }
-          }
-        }
-        // Same logical work as the scalar kernel's (edge, j1) row sweep,
-        // in closed form.
-        const std::uint64_t ops =
-            view.adj.size() * static_cast<std::uint64_t>(j) * batch;
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        if (j < k) exchange_layer(j);
-      }
-      const auto& top = bvals[static_cast<std::size_t>(k)];
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        word sum[16] = {};
-        for (std::uint32_t li = 0; li < nl; ++li)
-          bs.add_into(sum,
-                      &top[static_cast<std::size_t>(li) * wpv + blk * L]);
-        total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    };
-
-    auto run_phase = [&](int round, std::uint64_t phase, V& total) {
-      MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                 : "engine.phase.scalar",
-                       {"phase", static_cast<std::int64_t>(phase)});
-      [[maybe_unused]] const double vt0 = world.vclock();
-      if constexpr (gf::Bitsliceable<F>) {
-        if (bitsliced) {
-          run_phase_bs(*bse, round, phase, total);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-          return;
-        }
-      }
-      run_phase_scalar(round, phase, total);
-      MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                          (world.vclock() - vt0) * 1e9);
-    };
-
-    for (int round = start_round; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("engine.round", {"round", round});
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
-        const std::uint32_t mask = plan.vertex_mask[gid];
-        for (int s = 0; s < k; ++s)
-          if (((mask >> s) & 1u) != 0) {
-            const V u = shade_coeff(f, opt.seed, round, gid,
-                                    static_cast<std::uint32_t>(s));
-            us[static_cast<std::size_t>(li) * k + s] = u;
-            if (!us16.empty())
-              us16[static_cast<std::size_t>(li) * k + s] =
-                  static_cast<gf::BitslicedGF::value_type>(u);
-          }
-      }
-      V total = f.zero();
-      for (std::uint64_t phase = group_color; phase < sched.phases();
-           phase += sched.groups())
-        run_phase(round, phase, total);
-      V buf = total;
-      world.allreduce<V>(std::span<V>(&buf, 1),
-                         [&f](V& a, const V& b) { a = f.add(a, b); });
-      if (world.rank() == 0 && buf != f.zero())
-        round_found[static_cast<std::size_t>(round)] = 1;
-      world.barrier();
-      if (cs.armed() && (round + 1) % opt.checkpoint.every_rounds == 0 &&
-          round + 1 < opt.rounds() && !(opt.early_exit && buf != f.zero())) {
-        detail::take_snapshot(world, cs, chash, round + 1, 0,
-                              opt.checkpoint.rng_state, accum_stage,
-                              [&] { return driver_state_upto(round + 1); });
-      }
-      if (opt.early_exit && buf != f.zero()) break;
-    }
-  });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  result.failed_ranks = spmd.failed_ranks;
-  for (int round = 0; round < opt.rounds(); ++round) {
-    ++result.rounds_run;
-    if (round_found[static_cast<std::size_t>(round)]) {
-      result.found = true;
-      result.found_round = round;
-      break;
-    }
-  }
-  if (!opt.early_exit) result.rounds_run = opt.rounds();
-  return result;
+  // Fingerprinted: a snapshot must not resume on other colors or motif.
+  std::vector<std::uint64_t> cw{static_cast<std::uint64_t>(colors.size())};
+  cw.insert(cw.end(), colors.begin(), colors.end());
+  cw.insert(cw.end(), motif.begin(), motif.end());
+  const detail::LayeredRec<F> rec{
+      f, opt, nullptr, &plan, runtime::fnv1a(std::as_bytes(std::span(cw)))};
+  return detail::run_driver(views, opt, f, rec).result;
 }
 
-/// Distributed Graph Motif detection for a (graph, partition) pair; builds
-/// the part views and delegates to midas_motif_views.
+/// Distributed Graph Motif detection for a (graph, partition) pair.
 template <gf::GaloisField F>
 MidasResult midas_motif(const graph::Graph& g,
                         const partition::Partition& part,
                         const std::vector<std::uint32_t>& colors,
                         const std::vector<std::uint32_t>& motif,
                         const MidasOptions& opt, const F& f = F{}) {
-  detail::require_options(part.parts == opt.n1,
-                          "partition must have N1 parts");
-  detail::require_options(colors.size() == g.num_vertices(),
-                          "one color per vertex required");
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
   return midas_motif_views(partition::build_part_views(g, part), colors,
                            motif, opt, f);
 }
-
-// ---------------------------------------------------------------------------
-// Weighted k-path (max-weight variant), distributed
-// ---------------------------------------------------------------------------
-
-struct MidasWeightedResult {
-  std::vector<bool> feasible_weight;  // achievable k-path weights
-  std::optional<std::uint32_t> max_weight;
-  double vtime = 0.0;
-  double wall_s = 0.0;
-  runtime::CommStats total_stats;
-  int resumed_from_round = -1;  // snapshot round this run resumed at
-};
 
 /// Distributed maximum-weight k-path: the path DP with a weight dimension
 /// (paper Problem 3 part 2). Messages carry the whole weight axis, like
@@ -2351,203 +1470,21 @@ MidasWeightedResult midas_weighted_kpath(
     const graph::Graph& g, const partition::Partition& part,
     const std::vector<std::uint32_t>& weights, const MidasOptions& opt,
     const F& f = F{}) {
-  using V = typename F::value_type;
-  detail::require_options(part.parts == opt.n1,
-                          "partition must have N1 parts");
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
   detail::require_options(weights.size() == g.num_vertices(),
                           "one weight per vertex required");
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
-  const Schedule sched =
-      make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const int k = opt.k;
   const auto views = partition::build_part_views(g, part);
-
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
-  const std::uint32_t width = wmax + 1;
-
-  MidasWeightedResult result;
-  result.feasible_weight.assign(width, false);
-  Timer wall;
-  // Driver state per completed round: the width-wide feasibility row.
-  std::vector<std::uint8_t> found_cells(
-      static_cast<std::size_t>(opt.rounds()) * width, 0);
-
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x776b70617468ULL /* "wkpath" */, opt, sopt, sizeof(V),
-      views,
-      runtime::fnv1a(std::as_bytes(std::span<const std::uint32_t>(weights))));
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/width,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    std::copy(cs.loaded.driver_state.begin(), cs.loaded.driver_state.end(),
-              found_cells.begin());
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&found_cells, width](int rounds_done) {
-    return std::vector<std::uint8_t>(
-        found_cells.begin(),
-        found_cells.begin() +
-            static_cast<std::ptrdiff_t>(
-                static_cast<std::size_t>(rounds_done) * width));
-  };
-
-  runtime::SpmdResult spmd = runtime::run_spmd(
-      opt.n_ranks, opt.model, sopt,
-      [&](runtime::Comm& world) {
-        const int group_color = world.rank() / opt.n1;
-        runtime::Comm group =
-            world.split(group_color, world.rank() % opt.n1);
-        world.resume_sync();
-        const auto& view = views[static_cast<std::size_t>(group.rank())];
-        const std::uint32_t nl = view.num_local();
-        const std::uint32_t ng = view.num_ghosts();
-
-        std::vector<std::uint32_t> v(nl);
-        // Layout: (li * width + z) * batch + b (vertex-major, as in scan).
-        std::vector<V> cur, next, ghost, scratch;
-        std::vector<std::uint8_t> live_q;
-        std::vector<V> accum(width);
-
-        for (int round = start_round; round < opt.rounds(); ++round) {
-          MIDAS_TRACE_SPAN("engine.round", {"round", round});
-          for (std::uint32_t li = 0; li < nl; ++li)
-            v[li] = v_vector(opt.seed, round, view.vertices[li], k);
-          std::fill(accum.begin(), accum.end(), f.zero());
-
-          for (std::uint64_t phase = group_color; phase < sched.phases();
-               phase += sched.groups()) {
-            // The weighted driver is scalar-only (par_use_bitsliced).
-            MIDAS_TRACE_SPAN("engine.phase.scalar",
-                             {"phase", static_cast<std::int64_t>(phase)});
-            const auto [q0, q1] = sched.phase_range(phase);
-            const std::size_t batch = q1 - q0;
-            const std::size_t stride =
-                static_cast<std::size_t>(width) * batch;
-            cur.assign(stride * nl, f.zero());
-            next.assign(stride * nl, f.zero());
-            ghost.assign(stride * ng, f.zero());
-            scratch.assign(batch, f.zero());
-            live_q.assign(static_cast<std::size_t>(nl) * batch, 0);
-            const std::uint64_t adj_bytes =
-                view.adj.size() * sizeof(partition::NbrRef) +
-                view.adj_offsets.size() * sizeof(std::uint64_t);
-            const std::uint64_t working_set =
-                adj_bytes + (stride * nl + stride * ng) * sizeof(V);
-
-            // Liveness is per (vertex, iteration): compute it once per
-            // phase and reuse across every level and weight row.
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              const V coeff = field_coeff(f, opt.seed, round, gid, 1);
-              V* row = cur.data() + li * stride +
-                       static_cast<std::size_t>(weights[gid]) * batch;
-              std::uint8_t* lq =
-                  live_q.data() + static_cast<std::size_t>(li) * batch;
-              for (std::size_t b = 0; b < batch; ++b) {
-                const auto q = static_cast<std::uint32_t>(q0 + b);
-                lq[b] = inner_product_odd(v[li], q) ? 0 : 1;
-                row[b] = lq[b] ? coeff : f.zero();
-              }
-            }
-            world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-
-            for (int j = 2; j <= k; ++j) {
-              detail::halo_exchange(group, view, cur, ghost,
-                                    batch * width);
-              std::fill(next.begin(), next.end(), f.zero());
-              std::uint64_t ops = 0;
-              for (std::uint32_t li = 0; li < nl; ++li) {
-                const graph::VertexId gid = view.vertices[li];
-                const std::uint32_t wi = weights[gid];
-                const V rj = field_coeff(f, opt.seed, round, gid,
-                                         static_cast<std::uint32_t>(j));
-                V* out_vertex = next.data() + li * stride;
-                const std::uint8_t* lq =
-                    live_q.data() + static_cast<std::size_t>(li) * batch;
-                const auto begin = view.adj_offsets[li];
-                const auto end = view.adj_offsets[li + 1];
-                for (std::uint32_t z = wi; z < width; ++z) {
-                  V* row = out_vertex + static_cast<std::size_t>(z) * batch;
-                  // Neighbor fold into scratch, gate by liveness, then one
-                  // row-wide scale by the level coefficient.
-                  std::fill(scratch.begin(), scratch.end(), f.zero());
-                  for (auto e = begin; e < end; ++e) {
-                    const auto ref = view.adj[e];
-                    const V* src =
-                        (ref.is_ghost() ? ghost.data() : cur.data()) +
-                        static_cast<std::size_t>(ref.index()) * stride +
-                        static_cast<std::size_t>(z - wi) * batch;
-                    for (std::size_t b = 0; b < batch; ++b)
-                      scratch[b] = f.add(scratch[b], src[b]);
-                  }
-                  ops += (end - begin) * batch;
-                  for (std::size_t b = 0; b < batch; ++b)
-                    if (!lq[b]) scratch[b] = f.zero();
-                  gf::scale_add_row(f, row, rj, scratch.data(), batch);
-                  ops += batch;
-                }
-              }
-              world.charge_compute(ops);
-              world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-              std::swap(cur, next);
-            }
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const V* vertex_block = cur.data() + li * stride;
-              for (std::uint32_t z = 0; z < width; ++z) {
-                const V* row =
-                    vertex_block + static_cast<std::size_t>(z) * batch;
-                for (std::size_t b = 0; b < batch; ++b)
-                  accum[z] = f.add(accum[z], row[b]);
-              }
-            }
-            world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          }
-          std::vector<V> buf(accum);
-          world.allreduce<V>(std::span<V>(buf),
-                             [&f](V& a, const V& b) { a = f.add(a, b); });
-          if (world.rank() == 0) {
-            for (std::uint32_t z = 0; z < width; ++z)
-              if (buf[z] != f.zero())
-                found_cells[static_cast<std::size_t>(round) * width + z] =
-                    1;
-          }
-          world.barrier();
-          if (cs.armed() &&
-              (round + 1) % opt.checkpoint.every_rounds == 0 &&
-              round + 1 < opt.rounds()) {
-            detail::take_snapshot(
-                world, cs, chash, round + 1, 0, opt.checkpoint.rng_state,
-                accum_stage, [&] { return driver_state_upto(round + 1); });
-          }
-        }
-      });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  for (int round = 0; round < opt.rounds(); ++round)
-    for (std::uint32_t z = 0; z < width; ++z)
-      if (found_cells[static_cast<std::size_t>(round) * width + z])
-        result.feasible_weight[z] = true;
-  for (std::uint32_t z = 0; z < width; ++z)
-    if (result.feasible_weight[z]) result.max_weight = z;
+  const detail::PathRec<F> rec(views, opt, f, &weights);
+  const detail::DriverRun run = detail::run_driver(views, opt, f, rec);
+  const MidasResult& r = run.result;
+  MidasWeightedResult result{std::vector<bool>(rec.width, false), {},
+                             r.vtime, r.wall_s, r.total_stats,
+                             r.resumed_from_round};
+  for (std::uint32_t z = 0; z < rec.width; ++z)
+    if (run.any(z)) {
+      result.feasible_weight[z] = true;
+      result.max_weight = z;
+    }
   return result;
 }
 

@@ -90,6 +90,42 @@ struct Schedule {
   return mine;
 }
 
+/// Which phase groups hand their phases over (donors) and which
+/// recompute them (workers), ascending, for an agreed list of failed world
+/// ranks and the voted stragglers `slow_groups` (ascending). A group that
+/// lost a member is dead and always donates; straggling-but-intact groups
+/// donate too, unless *every* intact group straggles — then nobody is
+/// faster and the flag is moot. No workers means no intact replica is
+/// left.
+struct FailoverRoles {
+  std::vector<int> donors;
+  std::vector<int> workers;
+};
+
+[[nodiscard]] inline FailoverRoles failover_roles(
+    const Schedule& s, const std::vector<int>& failed_ranks,
+    const std::vector<int>& slow_groups) {
+  FailoverRoles roles;
+  std::vector<int> slow_intact;
+  for (int g = 0; g < s.groups(); ++g) {
+    bool dead = false;
+    for (int r = 0; r < s.n1 && !dead; ++r)
+      dead = std::binary_search(failed_ranks.begin(), failed_ranks.end(),
+                                g * s.n1 + r);
+    const bool slow =
+        std::binary_search(slow_groups.begin(), slow_groups.end(), g);
+    (dead ? roles.donors : slow ? slow_intact : roles.workers).push_back(g);
+  }
+  if (roles.workers.empty()) {
+    roles.workers = std::move(slow_intact);
+  } else {
+    roles.donors.insert(roles.donors.end(), slow_intact.begin(),
+                        slow_intact.end());
+    std::sort(roles.donors.begin(), roles.donors.end());
+  }
+  return roles;
+}
+
 /// Validate and build a schedule. Unlike the paper's exposition (which
 /// assumes N1 | N and N2 | 2^k), non-divisible configurations are accepted:
 /// the last phase is short and groups take a near-equal share of phases.

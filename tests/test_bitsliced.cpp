@@ -299,6 +299,7 @@ MidasOptions par_opts(int k, int n_ranks, int n1, std::uint32_t n2,
 TEST(BitslicedPar, KPathKernelsAgreeOnResultsAndClocks) {
   gf::GF256 f;
   Xoshiro256 rng(606);
+  Xoshiro256 wrng(6060);  // vertex weights of the weighted k-path runs
   // n2 = 5 makes phase bases non-multiples of 64, exercising the
   // unaligned live_mask path; n2 = 64 the aligned fast path.
   for (const auto& [n_ranks, n1, n2] :
@@ -319,6 +320,17 @@ TEST(BitslicedPar, KPathKernelsAgreeOnResultsAndClocks) {
     // Identical charges and message sizes => identical modeled time.
     EXPECT_EQ(sliced.vtime, scalar.vtime);
     EXPECT_EQ(sliced.vclocks, scalar.vclocks);
+
+    // The weighted k-path honours the kernel too.
+    std::vector<std::uint32_t> w(g.num_vertices());
+    for (auto& x : w) x = static_cast<std::uint32_t>(wrng.below(3));
+    const auto wscalar = midas_weighted_kpath(
+        g, part, w, par_opts(5, n_ranks, n1, n2, Kernel::kScalar), f);
+    const auto wsliced = midas_weighted_kpath(
+        g, part, w, par_opts(5, n_ranks, n1, n2, Kernel::kBitsliced), f);
+    EXPECT_EQ(wsliced.feasible_weight, wscalar.feasible_weight);
+    EXPECT_EQ(wsliced.max_weight, wscalar.max_weight);
+    EXPECT_EQ(wsliced.vtime, wscalar.vtime);
   }
 }
 

@@ -23,6 +23,7 @@
 
 #include "core/detect_par.hpp"
 #include "core/errors.hpp"
+#include "driver_cases.hpp"
 #include "gf/gf256.hpp"
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
@@ -307,69 +308,73 @@ TEST(CheckpointEngine, SnapshotsAreChargeFreeAndAnswerPreserving) {
 }
 
 TEST(CheckpointEngine, ResumeFromEverySnapshotIsBitExact) {
-  // The tentpole property test: simulate dying right after *each* snapshot
-  // the run ever published — round boundaries and mid-round wave points —
-  // and demand the resumed run reproduce the uninterrupted one exactly.
-  EngineFixture fx;
+  // The tentpole property test, on every driver: simulate dying right
+  // after *each* snapshot the run ever published — round boundaries and
+  // mid-round wave points — and demand the resumed run reproduce the
+  // uninterrupted one exactly.
   MidasOptions base = ck_opts(91);
   base.n2 = 1;  // 8 waves/round so mid-round resume points exist
-  const auto clean = midas_kpath(fx.g, fx.part, base, fx.f);
+  for (const auto& d : testing::driver_cases()) {
+    const auto clean = d.run(base);
+    MidasOptions ck = base;
+    ck.checkpoint.dir = fresh_dir(d.name + "_sweep_src");
+    ck.checkpoint.every_rounds = 1;
+    ck.checkpoint.every_waves = 3;
+    ck.checkpoint.keep = 64;
+    (void)d.run(ck);
+    const auto files = snapshots_oldest_first(ck.checkpoint.dir);
+    // Wave snapshots at waves 3 and 6 of each of the 4 rounds, plus round
+    // snapshots after rounds 1..3.
+    ASSERT_EQ(files.size(), 11u) << d.name;
 
-  MidasOptions ck = base;
-  ck.checkpoint.dir = fresh_dir("kpath_sweep_src");
-  ck.checkpoint.every_rounds = 1;
-  ck.checkpoint.every_waves = 3;
-  ck.checkpoint.keep = 64;
-  (void)midas_kpath(fx.g, fx.part, ck, fx.f);
-  const auto files = snapshots_oldest_first(ck.checkpoint.dir);
-  ASSERT_EQ(files.size(), 11u);
-
-  for (std::size_t kill = 1; kill <= files.size(); ++kill) {
-    MidasOptions r = ck;
-    r.checkpoint.dir =
-        prefix_dir("kpath_sweep_" + std::to_string(kill), files, kill);
-    r.checkpoint.resume = true;
-    const auto res = midas_kpath(fx.g, fx.part, r, fx.f);
-    EXPECT_EQ(res.found, clean.found) << "kill point " << kill;
-    EXPECT_EQ(res.found_round, clean.found_round) << "kill point " << kill;
-    EXPECT_EQ(res.vtime, clean.vtime) << "kill point " << kill;
-    EXPECT_EQ(res.vclocks, clean.vclocks) << "kill point " << kill;
-    EXPECT_GE(res.resumed_from_round, 0) << "kill point " << kill;
+    for (std::size_t kill = 1; kill <= files.size(); ++kill) {
+      MidasOptions r = ck;
+      r.checkpoint.dir = prefix_dir(
+          d.name + "_sweep_" + std::to_string(kill), files, kill);
+      r.checkpoint.resume = true;
+      const auto res = d.run(r);
+      EXPECT_EQ(res.answer, clean.answer) << d.name << " kill point " << kill;
+      EXPECT_EQ(res.vtime, clean.vtime) << d.name << " kill point " << kill;
+      EXPECT_EQ(res.vclocks, clean.vclocks)
+          << d.name << " kill point " << kill;
+      EXPECT_GE(res.resumed_from_round, 0)
+          << d.name << " kill point " << kill;
+    }
   }
 }
 
 TEST(CheckpointEngine, KillAndResumeReproducesTheUninterruptedRun) {
-  // Real kills this time: both phase groups die mid-run (a total failure
-  // failover cannot mask), the invocation ends with the typed fault, and a
-  // second invocation resumes from disk. Both runs are supervised so the
-  // snapshot fingerprint — which covers the execution mode — matches.
-  EngineFixture fx;
+  // Real kills this time, on every driver: both phase groups die mid-run
+  // (a total failure failover cannot mask), the invocation ends with the
+  // typed fault, and a second invocation resumes from disk. Both runs are
+  // supervised so the snapshot fingerprint — which covers the execution
+  // mode — matches; supervised runs take round-boundary snapshots only, so
+  // the wave cadence must leave them alone.
   MidasOptions base = ck_opts(91);
   base.spmd.supervise = true;
-  const auto clean = midas_kpath(fx.g, fx.part, base, fx.f);
+  for (const auto& d : testing::driver_cases()) {
+    const auto clean = d.run(base);
+    for (std::uint64_t ev : {3ull, 9ull, 13ull, 21ull, 29ull}) {
+      const std::string dir =
+          fresh_dir(d.name + "_kill_" + std::to_string(ev));
+      MidasOptions doomed = base;
+      doomed.checkpoint.dir = dir;
+      doomed.checkpoint.every_rounds = 1;
+      doomed.checkpoint.every_waves = 1;
+      doomed.checkpoint.keep = 64;
+      doomed.spmd.faults.kill_at_event(1, ev).kill_at_event(2, ev);
+      EXPECT_THROW((void)d.run(doomed), runtime::FaultError)
+          << d.name << " kill at event " << ev;
 
-  for (std::uint64_t ev : {3ull, 9ull, 13ull, 21ull, 29ull}) {
-    const std::string dir = fresh_dir("kpath_kill_" + std::to_string(ev));
-    MidasOptions doomed = base;
-    doomed.checkpoint.dir = dir;
-    doomed.checkpoint.every_rounds = 1;
-    doomed.checkpoint.keep = 64;
-    doomed.spmd.faults.kill_at_event(1, ev).kill_at_event(2, ev);
-    EXPECT_THROW((void)midas_kpath(fx.g, fx.part, doomed, fx.f),
-                 runtime::FaultError)
-        << "kill at event " << ev;
-
-    MidasOptions r = base;
-    r.checkpoint.dir = dir;
-    r.checkpoint.every_rounds = 1;
-    r.checkpoint.keep = 64;
-    r.checkpoint.resume = true;
-    const auto res = midas_kpath(fx.g, fx.part, r, fx.f);
-    EXPECT_EQ(res.found, clean.found) << "kill at event " << ev;
-    EXPECT_EQ(res.found_round, clean.found_round) << "kill at event " << ev;
-    EXPECT_EQ(res.vtime, clean.vtime) << "kill at event " << ev;
-    EXPECT_EQ(res.vclocks, clean.vclocks) << "kill at event " << ev;
-    EXPECT_TRUE(res.failed_ranks.empty());
+      MidasOptions r = doomed;
+      r.spmd.faults = {};
+      r.checkpoint.resume = true;
+      const auto res = d.run(r);
+      EXPECT_EQ(res.answer, clean.answer) << d.name << " kill at " << ev;
+      EXPECT_EQ(res.vtime, clean.vtime) << d.name << " kill at " << ev;
+      EXPECT_EQ(res.vclocks, clean.vclocks) << d.name << " kill at " << ev;
+      EXPECT_TRUE(res.failed_ranks.empty()) << d.name;
+    }
   }
 }
 

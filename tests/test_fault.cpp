@@ -1,5 +1,5 @@
 // Chaos suite: deterministic fault injection, failure-aware collectives,
-// and the k-path engine's phase-group failover.
+// and the phase-group failover every detection driver shares.
 //
 // The load-bearing claims (docs/RESILIENCE.md):
 //  - injector decisions are pure hashes — same plan, same decisions;
@@ -15,6 +15,7 @@
 #include <set>
 
 #include "core/detect_par.hpp"
+#include "driver_cases.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gfsmall.hpp"
 #include "graph/generators.hpp"
@@ -518,9 +519,9 @@ TEST(EngineFailover, SingleGroupConfigurationCannotFailOver) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan-statistics and tree-template drivers under faults. These engines do
-// not replicate phases, so a kill is a typed terminal error (never a hang);
-// transient channel faults must still cost time, not data.
+// The other drivers under faults: they run the same failover, so kills
+// that leave an intact group are masked, the rest are typed errors (never
+// hangs), and transient channel faults cost time, not data.
 // ---------------------------------------------------------------------------
 
 TEST(EngineChaosScan, ChannelFaultsNeverChangeTheTable) {
@@ -551,13 +552,15 @@ TEST(EngineChaosScan, ChannelFaultsNeverChangeTheTable) {
 }
 
 TEST(EngineChaosScan, KillTerminatesWithTypedErrorNotAHang) {
+  // A kill in each of the two phase groups leaves no intact replica, so
+  // failover cannot mask it: the run must end in a typed error.
   gf::GF256 f;
   Xoshiro256 rng(616);
   const graph::Graph g = graph::erdos_renyi_gnp(12, 0.25, rng);
   std::vector<std::uint32_t> w(g.num_vertices(), 1);
   const auto part = partition::block_partition(g, 2);
   MidasOptions faulty = chaos_opts(4, 2, 4);
-  faulty.spmd.faults.kill_at_event(1, 9);
+  faulty.spmd.faults.kill_at_event(1, 9).kill_at_event(2, 9);
   EXPECT_THROW((void)midas_scan(g, part, w, faulty, f),
                runtime::FaultError);
 }
@@ -584,6 +587,7 @@ TEST(EngineChaosTree, ChannelFaultsNeverChangeTheAnswer) {
 }
 
 TEST(EngineChaosTree, KillTerminatesWithTypedErrorNotAHang) {
+  // As for scan: both phase groups lose a member, nothing to fail over to.
   gf::GF256 f;
   Xoshiro256 rng(919);
   const graph::Graph tmpl = graph::random_tree(4, rng);
@@ -591,9 +595,46 @@ TEST(EngineChaosTree, KillTerminatesWithTypedErrorNotAHang) {
   const graph::Graph g = graph::erdos_renyi_gnp(18, 0.25, rng);
   const auto part = partition::block_partition(g, 2);
   MidasOptions faulty = chaos_opts(4, 2, 4);
-  faulty.spmd.faults.kill_at_event(2, 7);
+  faulty.spmd.faults.kill_at_event(2, 7).kill_at_event(1, 7);
   EXPECT_THROW((void)midas_ktree(g, part, td, faulty, f),
                runtime::FaultError);
+}
+
+TEST(EngineChaos, KillEventSweepAlwaysBitExact) {
+  // EngineFailover.KillEventSweepAlwaysBitExact on the other drivers: the
+  // kill lands at a different program point each time, and the answer
+  // never changes while an intact group survives.
+  for (const auto& d : testing::driver_cases()) {
+    if (d.name == "path") continue;  // swept by EngineFailover
+    const MidasOptions base = chaos_opts(8, 2, 4);
+    const auto clean = d.run(base);
+    for (std::uint64_t ev : {0ull, 1ull, 3ull, 7ull, 15ull, 40ull, 200ull}) {
+      MidasOptions faulty = base;
+      faulty.spmd.faults.kill_at_event(3, ev);
+      const auto res = d.run(faulty);
+      EXPECT_EQ(res.answer, clean.answer) << d.name << " kill at " << ev;
+    }
+    MidasOptions faulty = base;  // a kill the run surely reaches
+    faulty.spmd.faults.kill_at_event(5, 7);
+    const auto res = d.run(faulty);
+    EXPECT_EQ(res.answer, clean.answer) << d.name;
+    if (d.name != "scan" && d.name != "weighted") {  // no failed_ranks
+      EXPECT_EQ(res.failed_ranks, (std::vector<int>{5})) << d.name;
+    }
+  }
+}
+
+TEST(EngineChaos, UnmaskableKillIsATypedErrorNotAHang) {
+  // No intact replica is left: one phase group of four (n_ranks == n1),
+  // or both groups of a two-group run losing a member.
+  for (const auto& d : testing::driver_cases()) {
+    MidasOptions single = chaos_opts(4, 4, 4);
+    single.spmd.faults.kill_at_event(1, 8);
+    EXPECT_THROW((void)d.run(single), runtime::FaultError) << d.name;
+    MidasOptions all_dead = chaos_opts(4, 2, 4);
+    all_dead.spmd.faults.kill_at_event(0, 6).kill_at_event(2, 9);
+    EXPECT_THROW((void)d.run(all_dead), runtime::FaultError) << d.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -680,6 +721,28 @@ TEST(Watchdog, SpeculationCombinedWithARealGroupLoss) {
   EXPECT_EQ(res.found, clean.found);
   EXPECT_EQ(res.found_round, clean.found_round);
   EXPECT_EQ(res.failed_ranks, (std::vector<int>{4, 5}));
+}
+
+TEST(Watchdog, SpeculationIsBitExactOnEveryDriver) {
+  // Watchdog.SpeculationCombinedWithARealGroupLoss on the other drivers:
+  // group 1 is slow, group 2 dies, and the fast groups take over both.
+  for (const auto& d : testing::driver_cases()) {
+    if (d.name == "path") continue;
+    const MidasOptions base = chaos_opts(8, 2, 4);
+    const auto clean = d.run(base);
+    MidasOptions spec = base;
+    spec.spmd.faults.kill_at_event(4, 9).kill_at_event(5, 9);
+    spec.spmd.faults.with_channel({-1, 2, 0.0, 0.0, 1.0, 5e-4});
+    spec.spmd.faults.with_channel({-1, 3, 0.0, 0.0, 1.0, 5e-4});
+    spec.spmd.watchdog.deadline_s = 1e-4;
+    spec.spmd.watchdog.speculate = true;
+    const auto res = d.run(spec);
+    EXPECT_EQ(res.answer, clean.answer) << d.name;
+    EXPECT_GT(res.stragglers_flagged, 0u) << d.name;
+    if (d.name != "scan" && d.name != "weighted") {
+      EXPECT_EQ(res.failed_ranks, (std::vector<int>{4, 5})) << d.name;
+    }
+  }
 }
 
 TEST(EngineFailover, FailoverPhaseAssignmentIsDeterministicAndComplete) {
