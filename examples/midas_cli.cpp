@@ -56,13 +56,18 @@
 //                       chosen one is printed). SIGINT/SIGTERM shut down
 //                       cleanly and print the wire-level stats.
 //   midas_cli query     --connect=HOST:PORT [--register=WORKLOAD]
-//                       [--ping] [--tenant=T] [--graph=NAME --type=path|
-//                       tree|scan|motif --k=K ... query flags as in
-//                       workloads]
+//                       [--ping] [--tenant=T] [--graph=NAME
+//                       --type=path|tree|scan|motif --k=K
+//                       --lane=interactive|batch --kernel=... --l=L
+//                       --epsilon=E --seed=S --rounds=R --ranks=N --n1=P
+//                       --n2=B --timeout=T --certify --n=V --palette=C]
 //                       talk to a running `serve --listen`: optionally
 //                       register a workload's graphs, then run one query
 //                       and print the answer (witness and achieved-eps
-//                       included).
+//                       included). Scan and motif payloads derive as in
+//                       workloads, from --seed, --n (the graph's vertex
+//                       count) and --palette. An unknown --type, --lane
+//                       or --kernel name exits 2.
 //
 // Common flags:
 //   --graph=FILE           edge list ("u v" per line); or
@@ -151,11 +156,25 @@ std::vector<std::uint32_t> load_weights(const Args& args,
 }
 
 core::Kernel kernel_option(const Args& args) {
-  const std::string s = args.get("kernel", "auto");
-  if (s == "scalar") return core::Kernel::kScalar;
-  if (s == "bitsliced") return core::Kernel::kBitsliced;
-  MIDAS_REQUIRE(s == "auto", "--kernel must be auto, scalar or bitsliced");
-  return core::Kernel::kAuto;
+  const auto k =
+      service::enum_from_name<core::Kernel>(args.get("kernel", "auto"));
+  MIDAS_REQUIRE(k.has_value(), "--kernel must be auto, scalar or bitsliced");
+  return *k;
+}
+
+/// Read --flag by the service's enum name table, keeping `out` when the
+/// flag is absent; false (after a usage message) on an unknown name.
+template <typename E>
+bool enum_flag(const Args& args, const char* flag, E& out) {
+  if (!args.has(flag)) return true;
+  const std::string s = args.get(flag, "");
+  if (const auto e = service::enum_from_name<E>(s)) {
+    out = *e;
+    return true;
+  }
+  std::fprintf(stderr, "--%s expects %s, got %s\n", flag,
+               service::enum_choices<E>().c_str(), s.c_str());
+  return false;
 }
 
 runtime::SpmdOptions fault_options(const Args& args) {
@@ -698,67 +717,32 @@ int run_query(const midas::Args& args) {
 
   service::QuerySpec q;
   q.graph = args.get("graph", "");
-  const std::string type = args.get("type", "path");
-  if (type == "path") q.type = service::QueryType::kPath;
-  else if (type == "tree") q.type = service::QueryType::kTree;
-  else if (type == "scan") q.type = service::QueryType::kScan;
-  else if (type == "motif") q.type = service::QueryType::kMotif;
-  else {
-    std::fprintf(stderr, "--type expects path|tree|scan|motif, got %s\n",
-                 type.c_str());
+  if (!enum_flag(args, "type", q.type) || !enum_flag(args, "lane", q.lane) ||
+      !enum_flag(args, "kernel", q.kernel))
     return 2;
-  }
-  q.lane = args.get("lane", "batch") == "interactive"
-               ? service::Lane::kInteractive
-               : service::Lane::kBatch;
-  q.k = static_cast<int>(args.get_int("k", 4));
+  q.k = static_cast<int>(args.get_int("k", q.k));
   q.field_bits = static_cast<int>(args.get_int("l", q.field_bits));
   q.epsilon = args.get_double("epsilon", q.epsilon);
   q.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   q.max_rounds = static_cast<int>(args.get_int("rounds", 0));
-  q.kernel = kernel_option(args);
   q.n_ranks = static_cast<int>(args.get_int("ranks", q.n_ranks));
   q.n1 = static_cast<int>(args.get_int("n1", q.n1));
   q.n2 = static_cast<std::uint32_t>(args.get_int("n2", q.n2));
   q.timeout_s = args.get_double("timeout", 0.0);
   q.certify = args.get_flag("certify");
-  if (q.type == service::QueryType::kTree)
-    for (int i = 0; i + 1 < q.k; ++i)
-      q.tree_edges.emplace_back(static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(i + 1));
-  if (q.type == service::QueryType::kScan) {
-    if (graph_n == 0)
-      graph_n = static_cast<std::uint32_t>(args.get_int("n", 0));
-    if (graph_n == 0) {
-      std::fprintf(stderr,
-                   "scan queries need --n=<graph vertices> (or --register "
-                   "with the graph's recipe) to draw weights\n");
-      return 2;
-    }
-    // Same derivation replay workloads use (service/replay.cpp).
-    Xoshiro256 rng(q.seed ^ 0x5CA1AB1EULL);
-    q.weights.resize(graph_n);
-    for (auto& x : q.weights) x = static_cast<std::uint32_t>(rng() % 5);
+  if (graph_n == 0) graph_n = static_cast<std::uint32_t>(args.get_int("n", 0));
+  const std::int64_t palette = args.get_int("palette", 3);
+  if ((q.type == service::QueryType::kScan ||
+       q.type == service::QueryType::kMotif) &&
+      (graph_n == 0 || palette < 1)) {
+    std::fprintf(stderr,
+                 "%s queries need --n=<graph vertices> (or --register with "
+                 "the graph's recipe) and --palette >= 1 to derive their "
+                 "payload\n",
+                 service::to_string(q.type));
+    return 2;
   }
-  if (q.type == service::QueryType::kMotif) {
-    if (graph_n == 0)
-      graph_n = static_cast<std::uint32_t>(args.get_int("n", 0));
-    if (graph_n == 0) {
-      std::fprintf(stderr,
-                   "motif queries need --n=<graph vertices> (or --register "
-                   "with the graph's recipe) to draw colors\n");
-      return 2;
-    }
-    // Same derivation replay workloads use (service/replay.cpp).
-    const auto palette =
-        static_cast<std::uint32_t>(args.get_int("palette", 3));
-    Xoshiro256 crng(q.seed ^ 0xC0104C5ULL);
-    q.colors.resize(graph_n);
-    for (auto& x : q.colors) x = static_cast<std::uint32_t>(crng() % palette);
-    Xoshiro256 mrng(q.seed ^ 0x307216ULL);
-    q.motif.resize(static_cast<std::size_t>(q.k));
-    for (auto& x : q.motif) x = q.colors[mrng() % q.colors.size()];
-  }
+  service::derive_payload(q, graph_n, static_cast<std::uint32_t>(palette));
 
   Timer t;
   const service::QueryResult res = client.query(q);

@@ -33,14 +33,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> star_edges(int k) {
   return e;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> path_edges(int k) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> e;
-  for (int i = 0; i + 1 < k; ++i)
-    e.emplace_back(static_cast<std::uint32_t>(i),
-                   static_cast<std::uint32_t>(i + 1));
-  return e;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,7 +65,7 @@ int main(int argc, char** argv) {
     rows.push_back({k, "k-path", svc.submit(q)});
 
     q.type = QueryType::kTree;
-    q.tree_edges = path_edges(k);
+    service::derive_payload(q, n, 1);  // a path template over [0, k)
     rows.push_back({k, "path tree", svc.submit(q)});
 
     q.tree_edges = star_edges(k);

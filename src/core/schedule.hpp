@@ -19,13 +19,20 @@
 
 namespace midas::core {
 
+/// Largest subgraph size k a schedule accepts (2^k iterations per round);
+/// service admission rejects larger k against the same bound.
+inline constexpr int kMaxK = 28;
+
 /// Number of independent rounds needed for failure probability <= epsilon,
 /// given the per-round success probability of 1/5 (paper Theorem 1):
 /// ceil(log(1/eps) / log(5/4)).
 [[nodiscard]] inline int rounds_for_epsilon(double epsilon) {
   MIDAS_REQUIRE(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
-  return static_cast<int>(
-      std::ceil(std::log(1.0 / epsilon) / std::log(5.0 / 4.0)));
+  // 1/eps overflows to inf below 1/DBL_MAX (subnormal eps); -log(eps)
+  // stays finite there, and log(1/eps) keeps every other value as before.
+  const double inv = 1.0 / epsilon;
+  const double nats = std::isinf(inv) ? -std::log(epsilon) : std::log(inv);
+  return static_cast<int>(std::ceil(nats / std::log(5.0 / 4.0)));
 }
 
 struct Schedule {
@@ -132,7 +139,7 @@ struct FailoverRoles {
 [[nodiscard]] inline Schedule make_schedule(int k, double epsilon,
                                             int n_ranks, int n1,
                                             std::uint32_t n2) {
-  MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
+  MIDAS_REQUIRE(k >= 1 && k <= kMaxK, "k must be in [1,28]");
   MIDAS_REQUIRE(n_ranks >= 1, "N must be positive");
   MIDAS_REQUIRE(n1 >= 1 && n1 <= n_ranks, "N1 must be in [1,N]");
   MIDAS_REQUIRE(n_ranks % n1 == 0, "N1 must divide N");

@@ -138,90 +138,14 @@ void throw_error(const ErrorFrame& e) {
 // -- query specs ------------------------------------------------------------
 
 void encode_query(WireWriter& w, const service::QuerySpec& q) {
-  w.u8(static_cast<std::uint8_t>(q.type));
-  w.u8(static_cast<std::uint8_t>(q.lane));
-  w.str(q.graph);
-  w.i32(q.k);
-  w.i32(q.field_bits);
-  w.f64(q.epsilon);
-  w.u64(q.seed);
-  w.i32(q.max_rounds);
-  w.u8(q.early_exit ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(q.kernel));
-  w.i32(q.n_ranks);
-  w.i32(q.n1);
-  w.u32(q.n2);
-  w.u32(static_cast<std::uint32_t>(q.tree_edges.size()));
-  for (const auto& [a, b] : q.tree_edges) {
-    w.u32(a);
-    w.u32(b);
-  }
-  w.u32(q.tree_root);
-  w.u32(static_cast<std::uint32_t>(q.weights.size()));
-  for (std::uint32_t x : q.weights) w.u32(x);
-  w.u8((q.certify ? 1u : 0u) | (q.reamplify ? 2u : 0u));
-  w.f64(q.timeout_s);
-  w.i32(q.retry.max_attempts);
-  w.f64(q.retry.base_backoff_s);
-  w.f64(q.retry.multiplier);
-  w.f64(q.retry.max_backoff_s);
-  w.f64(q.retry.jitter);
-  w.u32(static_cast<std::uint32_t>(q.colors.size()));
-  for (std::uint32_t x : q.colors) w.u32(x);
-  w.u32(static_cast<std::uint32_t>(q.motif.size()));
-  for (std::uint32_t x : q.motif) w.u32(x);
+  service::for_each_field(
+      q, [&w](const char*, const auto& v, service::FieldKind) { w.put(v); });
 }
 
 service::QuerySpec decode_query(WireReader& r) {
   service::QuerySpec q;
-  const std::uint8_t type = r.u8();
-  if (type > static_cast<std::uint8_t>(service::QueryType::kMotif))
-    throw ProtocolError("unknown query type " + std::to_string(type));
-  q.type = static_cast<service::QueryType>(type);
-  const std::uint8_t lane = r.u8();
-  if (lane > static_cast<std::uint8_t>(service::Lane::kBatch))
-    throw ProtocolError("unknown lane " + std::to_string(lane));
-  q.lane = static_cast<service::Lane>(lane);
-  q.graph = r.str();
-  q.k = r.i32();
-  q.field_bits = r.i32();
-  q.epsilon = r.f64();
-  q.seed = r.u64();
-  q.max_rounds = r.i32();
-  q.early_exit = r.u8() != 0;
-  const std::uint8_t kernel = r.u8();
-  if (kernel > static_cast<std::uint8_t>(core::Kernel::kBitsliced))
-    throw ProtocolError("unknown kernel " + std::to_string(kernel));
-  q.kernel = static_cast<core::Kernel>(kernel);
-  q.n_ranks = r.i32();
-  q.n1 = r.i32();
-  q.n2 = r.u32();
-  const std::uint32_t n_edges = r.count(8);
-  q.tree_edges.reserve(n_edges);
-  for (std::uint32_t i = 0; i < n_edges; ++i) {
-    const std::uint32_t a = r.u32();
-    const std::uint32_t b = r.u32();
-    q.tree_edges.emplace_back(a, b);
-  }
-  q.tree_root = r.u32();
-  const std::uint32_t n_weights = r.count(4);
-  q.weights.reserve(n_weights);
-  for (std::uint32_t i = 0; i < n_weights; ++i) q.weights.push_back(r.u32());
-  const std::uint8_t flags = r.u8();
-  q.certify = (flags & 1u) != 0;
-  q.reamplify = (flags & 2u) != 0;
-  q.timeout_s = r.f64();
-  q.retry.max_attempts = r.i32();
-  q.retry.base_backoff_s = r.f64();
-  q.retry.multiplier = r.f64();
-  q.retry.max_backoff_s = r.f64();
-  q.retry.jitter = r.f64();
-  const std::uint32_t n_colors = r.count(4);
-  q.colors.reserve(n_colors);
-  for (std::uint32_t i = 0; i < n_colors; ++i) q.colors.push_back(r.u32());
-  const std::uint32_t n_motif = r.count(4);
-  q.motif.reserve(n_motif);
-  for (std::uint32_t i = 0; i < n_motif; ++i) q.motif.push_back(r.u32());
+  service::for_each_field(
+      q, [&r](const char*, auto& v, service::FieldKind) { r.get(v); });
   return q;
 }
 

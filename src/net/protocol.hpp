@@ -26,6 +26,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "service/query.hpp"
@@ -34,7 +35,7 @@
 namespace midas::net {
 
 inline constexpr std::uint32_t kMagic = 0x5344494Du;  // "MIDS"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderSize = 24;
 /// Default upper bound on a frame body. Large enough for any realistic
 /// QuerySpec (weights for a multi-million-vertex scan); small enough that
@@ -162,6 +163,24 @@ class WireWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  // One overload per QuerySpec field type (service::for_each_field):
+  // enums travel as one byte, bools as 0/1, vectors as a count + elements.
+  void put(bool v) { u8(v ? 1 : 0); }
+  void put(std::int32_t v) { i32(v); }
+  void put(std::uint32_t v) { u32(v); }
+  void put(std::uint64_t v) { u64(v); }
+  void put(double v) { f64(v); }
+  void put(const std::string& s) { str(s); }
+  template <service::NamedEnum E>
+  void put(E e) { u8(static_cast<std::uint8_t>(e)); }
+  template <typename A, typename B>
+  void put(const std::pair<A, B>& p) { put(p.first), put(p.second); }
+  template <typename T>
+  void put(const std::vector<T>& v) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& x : v) put(x);
+  }
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return buf_;
   }
@@ -215,6 +234,32 @@ class WireReader {
   }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return size_ - off_;
+  }
+
+  // The inverse of each WireWriter::put overload. An enum byte outside
+  // its name array throws ProtocolError.
+  void get(bool& v) { v = u8() != 0; }
+  void get(std::int32_t& v) { v = i32(); }
+  void get(std::uint32_t& v) { v = u32(); }
+  void get(std::uint64_t& v) { v = u64(); }
+  void get(double& v) { v = f64(); }
+  void get(std::string& s) { s = str(); }
+  template <service::NamedEnum E>
+  void get(E& e) {
+    const std::uint8_t v = u8();
+    if (v >= service::enum_names(e).size())
+      throw ProtocolError("enum byte " + std::to_string(v) +
+                          " is not one of " + service::enum_choices<E>());
+    e = static_cast<E>(v);
+  }
+  template <typename A, typename B>
+  void get(std::pair<A, B>& p) { get(p.first), get(p.second); }
+  /// Elements are fixed-width integers or pairs of them: sizeof(T) is
+  /// each element's wire size.
+  template <typename T>
+  void get(std::vector<T>& v) {
+    v.resize(count(sizeof(T)));
+    for (T& x : v) get(x);
   }
 
  private:

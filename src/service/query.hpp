@@ -9,17 +9,20 @@
 // differ only in lane or deadline deduplicate onto one execution.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <cstring>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/detect_par.hpp"
 #include "core/detect_seq.hpp"
-#include "runtime/fault.hpp"
+#include "runtime/checksum.hpp"
 
 namespace midas::service {
 
@@ -133,18 +136,19 @@ class UnknownGraphError : public ServiceError {
 };
 
 /// Admission rejected: the QuerySpec itself is malformed (epsilon outside
-/// (0, 1), negative max_rounds, bad rank geometry, ...). Typed so callers
-/// can tell a bad request apart from serving failures, and carrying the
-/// offending field name for programmatic handling. Raised at submit() —
-/// a spec that would only blow up later (e.g. rounds_for_epsilon deriving
-/// a nonsense round count inside a worker) never enters a queue.
+/// (0, 1), k or max_rounds past its bound, bad rank geometry, ...). Typed
+/// so callers can tell a bad request apart from serving failures, and
+/// carrying the offending field name for programmatic handling. Raised at
+/// submit() — a spec that would only blow up later (e.g. rounds_for_epsilon
+/// deriving a nonsense round count inside a worker) never enters a queue.
 class QueryValidationError : public ServiceError {
  public:
   QueryValidationError(const std::string& field, const std::string& what)
       : ServiceError("invalid query: " + field + ": " + what),
         field_(field) {}
-  /// The QuerySpec field that failed validation ("epsilon", "max_rounds",
-  /// "k", "field_bits", "n1", "n2", "tree_edges", "weights").
+  /// The QuerySpec member that failed validation ("epsilon",
+  /// "max_rounds", "k", "field_bits", "n_ranks", "n1", "n2", "tree_edges",
+  /// "tree_root", "weights", "colors", "motif").
   [[nodiscard]] const std::string& field() const noexcept { return field_; }
 
  private:
@@ -180,17 +184,45 @@ struct RetryPolicy {
 enum class QueryType { kPath, kTree, kScan, kMotif };
 enum class Lane { kInteractive, kBatch };
 
-[[nodiscard]] inline const char* to_string(QueryType t) noexcept {
-  switch (t) {
-    case QueryType::kPath: return "path";
-    case QueryType::kTree: return "tree";
-    case QueryType::kScan: return "scan";
-    case QueryType::kMotif: return "motif";
-  }
-  return "?";
+// One name array per enum, indexed by value: the text names workloads and
+// CLI flags use, and the range the wire decoder accepts.
+inline constexpr const char* kQueryTypeNames[] = {"path", "tree", "scan",
+                                                  "motif"};
+inline constexpr const char* kLaneNames[] = {"interactive", "batch"};
+inline constexpr const char* kKernelNames[] = {"auto", "scalar",
+                                               "bitsliced"};
+
+using EnumNames = std::span<const char* const>;
+constexpr EnumNames enum_names(QueryType) { return kQueryTypeNames; }
+constexpr EnumNames enum_names(Lane) { return kLaneNames; }
+constexpr EnumNames enum_names(core::Kernel) { return kKernelNames; }
+
+template <typename E>
+concept NamedEnum = requires(E e) { enum_names(e); };
+
+template <NamedEnum E>
+[[nodiscard]] const char* to_string(E e) noexcept {
+  return enum_names(e)[static_cast<std::size_t>(e)];
 }
-[[nodiscard]] inline const char* to_string(Lane l) noexcept {
-  return l == Lane::kInteractive ? "interactive" : "batch";
+
+/// The enumerator called `name`, or nullopt when no enumerator is.
+template <NamedEnum E>
+[[nodiscard]] std::optional<E> enum_from_name(std::string_view name) {
+  const auto names = enum_names(E{});
+  for (std::size_t i = 0; i < names.size(); ++i)
+    if (name == names[i]) return static_cast<E>(i);
+  return std::nullopt;
+}
+
+/// The names of E joined by '|', for error messages ("path|tree|...").
+template <NamedEnum E>
+[[nodiscard]] std::string enum_choices() {
+  std::string out;
+  for (const char* n : enum_names(E{})) {
+    if (!out.empty()) out += '|';
+    out += n;
+  }
+  return out;
 }
 
 struct QuerySpec {
@@ -254,38 +286,63 @@ struct QuerySpec {
   }
 };
 
-/// Identity of a query's *answer*: every field that feeds the engine, and
-/// nothing that only affects serving. Identical fingerprints on the same
-/// service are the dedup condition — and also the artifact-sharing
-/// condition the cache keys build on.
+/// Whether a field feeds the answer or only how the query is served.
+enum class FieldKind { kAnswer, kServing };
+
+/// The one list of QuerySpec fields, in wire order: calls
+/// fn(key, member, kind) for each. `key` is the field's workload key
+/// (docs/SERVICE.md). The fingerprint hashes the kAnswer fields, the wire
+/// codec (net/protocol.cpp) sends all of them, and the workload parser
+/// (service/replay.cpp) sets the scalar ones by key — so a new QuerySpec
+/// member is one line here. Serving fields are exactly those two queries
+/// may differ in and still deduplicate onto one execution.
+template <typename Q, typename Fn>
+  requires std::same_as<std::remove_const_t<Q>, QuerySpec>
+void for_each_field(Q& q, Fn&& fn) {
+  constexpr FieldKind A = FieldKind::kAnswer, S = FieldKind::kServing;
+  fn("type", q.type, A);
+  fn("lane", q.lane, S);
+  fn("graph", q.graph, A);
+  fn("k", q.k, A);
+  fn("l", q.field_bits, A);
+  fn("eps", q.epsilon, A);
+  fn("seed", q.seed, A);
+  fn("rounds", q.max_rounds, A);
+  fn("early_exit", q.early_exit, A);
+  fn("kernel", q.kernel, A);
+  fn("n", q.n_ranks, A);
+  fn("n1", q.n1, A);
+  fn("n2", q.n2, A);
+  fn("tree_edges", q.tree_edges, A);
+  fn("root", q.tree_root, A);
+  fn("weights", q.weights, A);
+  fn("certify", q.certify, A);
+  fn("reamplify", q.reamplify, A);
+  fn("timeout", q.timeout_s, S);
+  fn("attempts", q.retry.max_attempts, S);
+  fn("backoff", q.retry.base_backoff_s, S);
+  fn("backoff_mult", q.retry.multiplier, S);
+  fn("max_backoff", q.retry.max_backoff_s, S);
+  fn("jitter", q.retry.jitter, S);
+  fn("colors", q.colors, A);
+  fn("motif", q.motif, A);
+}
+
+/// Identity of a query's *answer*: every kAnswer field, and nothing that
+/// only affects serving. Identical fingerprints on the same service are
+/// the dedup condition — and also the artifact-sharing condition the
+/// cache keys build on. Strings and vectors are length-prefixed, so
+/// adjacent variable-length fields cannot trade elements and collide.
 [[nodiscard]] inline std::uint64_t query_fingerprint(const QuerySpec& q) {
-  std::vector<std::uint64_t> w;
-  w.reserve(16 + q.graph.size() + q.tree_edges.size() + q.weights.size());
-  w.push_back(static_cast<std::uint64_t>(q.type));
-  for (char c : q.graph) w.push_back(static_cast<std::uint64_t>(c));
-  w.push_back(static_cast<std::uint64_t>(q.k));
-  w.push_back(static_cast<std::uint64_t>(q.field_bits));
-  std::uint64_t eps_bits = 0;
-  std::memcpy(&eps_bits, &q.epsilon, sizeof(eps_bits));
-  w.push_back(eps_bits);
-  w.push_back(q.seed);
-  w.push_back(static_cast<std::uint64_t>(q.max_rounds));
-  w.push_back(q.early_exit ? 1 : 0);
-  w.push_back(static_cast<std::uint64_t>(q.kernel));
-  w.push_back(static_cast<std::uint64_t>(q.n_ranks));
-  w.push_back(static_cast<std::uint64_t>(q.n1));
-  w.push_back(q.n2);
-  w.push_back(static_cast<std::uint64_t>(q.tree_root));
-  w.push_back((q.certify ? 1u : 0u) | (q.reamplify ? 2u : 0u));
-  for (const auto& [a, b] : q.tree_edges)
-    w.push_back((static_cast<std::uint64_t>(a) << 32) | b);
-  for (std::uint32_t x : q.weights) w.push_back(x);
-  // Length-prefix the colors so (colors, motif) concatenations of
-  // different splits cannot collide.
-  w.push_back(q.colors.size());
-  for (std::uint32_t x : q.colors) w.push_back(x);
-  for (std::uint32_t x : q.motif) w.push_back(x);
-  return runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(w)));
+  runtime::Fnv1aStream s;
+  for_each_field(q, [&s](const char*, const auto& v, FieldKind kind) {
+    if (kind == FieldKind::kServing) return;
+    if constexpr (requires { v.data(); })
+      s.update(std::as_bytes(std::span(v.data(), v.size())));
+    else
+      s.update_value(v);
+  });
+  return s.digest();
 }
 
 /// One query's answer plus serving telemetry. Path/tree queries fill

@@ -1,13 +1,16 @@
 #include "service/replay.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -26,83 +29,65 @@ using Clock = std::chrono::steady_clock;
                            ": " + what);
 }
 
-/// `key=value` tokens after the `query` keyword.
-std::unordered_map<std::string, std::string> parse_kv(
-    std::istringstream& in, std::size_t line_no) {
-  std::unordered_map<std::string, std::string> kv;
-  std::string tok;
-  while (in >> tok) {
-    auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0)
-      fail(line_no, "expected key=value, got '" + tok + "'");
-    kv[tok.substr(0, eq)] = tok.substr(eq + 1);
+/// Parse all of `text` into `out`; returns "" on success, else what was
+/// wrong. Covers every field type the QuerySpec table holds.
+template <typename T>
+std::string parse_value(std::string_view text, T& out) {
+  const std::string got = ", got '" + std::string(text) + "'";
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (text != "0" && text != "1") return "expected 0 or 1" + got;
+    out = text == "1";
+  } else if constexpr (NamedEnum<T>) {
+    const auto e = enum_from_name<T>(text);
+    if (!e) return "expected " + enum_choices<T>() + got;
+    out = *e;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if (ec == std::errc::result_out_of_range) return "out of range" + got;
+    if (ec != std::errc{} || ptr != end) return "expected a number" + got;
+  } else {
+    return "derived from the query's seed, k and palette; not settable";
   }
-  return kv;
+  return {};
 }
 
-QuerySpec parse_query(std::istringstream& in, std::size_t line_no) {
-  auto kv = parse_kv(in, line_no);
-  auto take = [&](const char* key) {
-    auto it = kv.find(key);
-    if (it == kv.end()) return std::string();
-    std::string v = std::move(it->second);
-    kv.erase(it);
-    return v;
-  };
-
+/// One `query` line: the spec plus the replay-only keys.
+struct QueryLine {
   QuerySpec q;
-  const std::string type = take("type");
-  if (type == "path" || type.empty())
-    q.type = QueryType::kPath;
-  else if (type == "tree")
-    q.type = QueryType::kTree;
-  else if (type == "scan")
-    q.type = QueryType::kScan;
-  else if (type == "motif")
-    q.type = QueryType::kMotif;
-  else
-    fail(line_no, "unknown query type '" + type + "'");
+  std::int64_t repeat = 1;
+  std::uint32_t palette = 3;
+};
 
-  const std::string lane = take("lane");
-  if (lane == "interactive")
-    q.lane = Lane::kInteractive;
-  else if (!lane.empty() && lane != "batch")
-    fail(line_no, "unknown lane '" + lane + "'");
-
-  q.graph = take("graph");
-  if (q.graph.empty()) fail(line_no, "query needs graph=<name>");
-
-  auto num = [&](const char* key, std::int64_t def) {
-    const std::string v = take(key);
-    return v.empty() ? def : std::stoll(v);
-  };
-  q.k = static_cast<int>(num("k", q.k));
-  q.field_bits = static_cast<int>(num("l", q.field_bits));
-  q.seed = static_cast<std::uint64_t>(num("seed", 1));
-  q.max_rounds = static_cast<int>(num("rounds", 0));
-  q.n_ranks = static_cast<int>(num("n", q.n_ranks));
-  q.n1 = static_cast<int>(num("n1", q.n1));
-  q.n2 = static_cast<std::uint32_t>(num("n2", q.n2));
-  const std::string eps = take("eps");
-  if (!eps.empty()) q.epsilon = std::stod(eps);
-  const std::string timeout = take("timeout");
-  if (!timeout.empty()) q.timeout_s = std::stod(timeout);
-
-  const std::string kernel = take("kernel");
-  if (kernel == "scalar")
-    q.kernel = core::Kernel::kScalar;
-  else if (kernel == "bitsliced")
-    q.kernel = core::Kernel::kBitsliced;
-  else if (!kernel.empty() && kernel != "auto")
-    fail(line_no, "unknown kernel '" + kernel + "'");
-
-  q.certify = num("certify", 0) != 0;
-  q.reamplify = num("reamplify", 0) != 0;
-
-  kv.erase("repeat");   // handled by the caller
-  kv.erase("palette");  // handled by the caller (needs the graph size)
-  if (!kv.empty()) fail(line_no, "unknown query key '" + kv.begin()->first + "'");
-  return q;
+QueryLine parse_query(std::istringstream& in, std::size_t line_no) {
+  QueryLine out;
+  std::vector<std::string> seen;
+  std::string tok;
+  while (in >> tok) {
+    const auto eq = tok.find('=');
+    if (eq == std::string::npos || eq == 0)
+      fail(line_no, "expected key=value, got '" + tok + "'");
+    const std::string key = tok.substr(0, eq);
+    const std::string_view text = std::string_view(tok).substr(eq + 1);
+    if (std::find(seen.begin(), seen.end(), key) != seen.end())
+      fail(line_no, key + ": repeated key");
+    seen.push_back(key);
+    std::string err = "unknown query key";
+    if (key == "repeat")
+      err = parse_value(text, out.repeat);
+    else if (key == "palette")
+      err = parse_value(text, out.palette);
+    else
+      for_each_field(out.q, [&](const char* k, auto& v, FieldKind) {
+        if (key == k) err = parse_value(text, v);
+      });
+    if (!err.empty()) fail(line_no, key + ": " + err);
+  }
+  if (out.repeat < 1) fail(line_no, "repeat: must be >= 1");
+  if (out.palette < 1) fail(line_no, "palette: must be >= 1");
+  return out;
 }
 
 GraphSpec parse_graph(const std::string& name, std::istringstream& in,
@@ -127,41 +112,6 @@ GraphSpec parse_graph(const std::string& name, std::istringstream& in,
   return spec;
 }
 
-/// A path template over [0, k): the tree-query default for replays.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> path_template(int k) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (int i = 0; i + 1 < k; ++i)
-    edges.emplace_back(static_cast<std::uint32_t>(i),
-                       static_cast<std::uint32_t>(i + 1));
-  return edges;
-}
-
-std::vector<std::uint32_t> scan_weights(std::uint32_t n,
-                                        std::uint64_t seed) {
-  Xoshiro256 rng(seed ^ 0x5CA1AB1EULL);
-  std::vector<std::uint32_t> w(n);
-  for (auto& x : w) x = static_cast<std::uint32_t>(rng() % 5);
-  return w;
-}
-
-std::vector<std::uint32_t> motif_colors(std::uint32_t n, std::uint64_t seed,
-                                        std::uint32_t palette) {
-  Xoshiro256 rng(seed ^ 0xC0104C5ULL);
-  std::vector<std::uint32_t> c(n);
-  for (auto& x : c) x = static_cast<std::uint32_t>(rng() % palette);
-  return c;
-}
-
-/// Sample the queried multiset from the coloring itself, so it is always
-/// color-feasible and the answer hinges on connectivity/multiplicity.
-std::vector<std::uint32_t> motif_multiset(
-    const std::vector<std::uint32_t>& colors, int k, std::uint64_t seed) {
-  Xoshiro256 rng(seed ^ 0x307216ULL);
-  std::vector<std::uint32_t> m(static_cast<std::size_t>(k));
-  for (auto& x : m) x = colors[rng() % colors.size()];
-  return m;
-}
-
 void digest(LaneReport& lane, std::vector<double>& latencies) {
   if (latencies.empty()) return;
   lane.p50_s = percentile(latencies, 50.0);
@@ -170,6 +120,33 @@ void digest(LaneReport& lane, std::vector<double>& latencies) {
 }
 
 }  // namespace
+
+void derive_payload(QuerySpec& q, std::uint32_t n, std::uint32_t palette) {
+  // A k outside [1, kMaxK] fails admission; clamping here only keeps a
+  // bad k from sizing the payload.
+  const int k = std::clamp(q.k, 0, core::kMaxK);
+  if (q.type == QueryType::kTree) {
+    q.tree_edges.clear();
+    for (int i = 0; i + 1 < k; ++i)
+      q.tree_edges.emplace_back(static_cast<std::uint32_t>(i),
+                                static_cast<std::uint32_t>(i + 1));
+  }
+  if (q.type == QueryType::kScan) {
+    Xoshiro256 rng(q.seed ^ 0x5CA1AB1EULL);
+    q.weights.resize(n);
+    for (auto& x : q.weights) x = static_cast<std::uint32_t>(rng() % 5);
+  }
+  if (q.type == QueryType::kMotif) {
+    Xoshiro256 crng(q.seed ^ 0xC0104C5ULL);
+    q.colors.resize(n);
+    for (auto& x : q.colors) x = static_cast<std::uint32_t>(crng() % palette);
+    // Sample the multiset from the coloring itself, so it is always
+    // color-feasible and the answer hinges on connectivity/multiplicity.
+    Xoshiro256 mrng(q.seed ^ 0x307216ULL);
+    q.motif.resize(n == 0 ? 0 : static_cast<std::size_t>(k));
+    for (auto& x : q.motif) x = q.colors[mrng() % n];
+  }
+}
 
 graph::Graph build_graph(const GraphSpec& spec) {
   Xoshiro256 rng(spec.seed);
@@ -200,36 +177,14 @@ Workload parse_workload(const std::string& path) {
       graph_sizes[name] = spec.n;
       wl.graphs.push_back(std::move(spec));
     } else if (word == "query") {
-      std::istringstream copy(line.substr(line.find("query") + 5));
-      auto kv = parse_kv(copy, line_no);
-      std::int64_t repeat = 1;
-      if (auto it = kv.find("repeat"); it != kv.end())
-        repeat = std::stoll(it->second);
-      std::uint32_t palette = 3;
-      if (auto it = kv.find("palette"); it != kv.end())
-        palette = static_cast<std::uint32_t>(std::stoll(it->second));
-      if (palette == 0) fail(line_no, "palette must be positive");
-      std::istringstream again(line.substr(line.find("query") + 5));
-      QuerySpec q = parse_query(again, line_no);
+      auto [q, repeat, palette] = parse_query(ls, line_no);
       auto sz = graph_sizes.find(q.graph);
       if (sz == graph_sizes.end())
-        fail(line_no, "query references undeclared graph '" + q.graph + "'");
-      if (q.type == QueryType::kTree) q.tree_edges = path_template(q.k);
-      if (q.type == QueryType::kScan)
-        q.weights = scan_weights(sz->second, q.seed);
-      if (q.type == QueryType::kMotif) {
-        q.colors = motif_colors(sz->second, q.seed, palette);
-        q.motif = motif_multiset(q.colors, q.k, q.seed);
-      }
-      for (std::int64_t r = 0; r < repeat; ++r) {
+        fail(line_no, "graph: no graph line declares '" + q.graph + "'");
+      // Repeats take seed, seed+1, ...: cache traffic, not dedup.
+      for (std::int64_t r = 0; r < repeat; ++r, ++q.seed) {
+        derive_payload(q, sz->second, palette);
         wl.queries.push_back(q);
-        ++q.seed;  // keep repeats distinct (cache traffic, not dedup)
-        if (q.type == QueryType::kScan)
-          q.weights = scan_weights(sz->second, q.seed);
-        if (q.type == QueryType::kMotif) {
-          q.colors = motif_colors(sz->second, q.seed, palette);
-          q.motif = motif_multiset(q.colors, q.k, q.seed);
-        }
       }
     } else {
       fail(line_no, "unknown directive '" + word + "'");

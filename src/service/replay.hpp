@@ -11,20 +11,19 @@
 //   graph <name> gnp <n> <p> <seed>
 //   graph <name> ba <n> <attach> <seed>
 //   graph <name> road <n> <keep> <seed>
-//   query type=path|tree|scan|motif graph=<name> [key=value ...] [repeat=<r>]
+//   query type=path|tree|scan|motif graph=<name> [key=value ...]
 //
-// query keys: lane=interactive|batch, k, l (field bits), eps, seed,
-// rounds (max-rounds override), kernel=auto|scalar|bitsliced, n (ranks),
-// n1, n2, timeout (seconds), certify=0|1 (witness-certified positives),
-// reamplify=0|1 (top up under-amplified "no" answers),
-// palette (motif only: number of vertex colors, default 3),
-// repeat (submit r copies with seed, seed+1,
-// ...; repeat keeps the copies distinct so they exercise the cache, not
-// the dedup map). Tree queries embed a path template over k vertices;
-// scan queries draw per-vertex weights in [0, 4] from `seed`; motif
-// queries color every vertex uniformly from the palette and query a color
-// multiset of size k sampled from the coloring (so the multiset is always
-// color-feasible and the answer hinges on connectivity), both from `seed`.
+// A query line's keys are the QuerySpec field table's (service/query.hpp,
+// for_each_field): lane=interactive|batch, k, l (field bits), eps, seed,
+// rounds (max-rounds override), early_exit=0|1,
+// kernel=auto|scalar|bitsliced, n (ranks), n1, n2, root (tree root),
+// certify=0|1, reamplify=0|1, timeout (seconds), and the retry policy's
+// attempts, backoff, backoff_mult, max_backoff, jitter. Two more keys are
+// replay-only: palette (motif colors, default 3) and repeat (submit r
+// copies with seed, seed+1, ...; distinct seeds exercise the cache, not
+// the dedup map). Payloads come from derive_payload, never from keys. A
+// bad value, an unknown or repeated key, or a negative count fails as
+// "workload line N: <key>: ...".
 #pragma once
 
 #include <cstdint>
@@ -60,6 +59,13 @@ struct Workload {
   std::vector<GraphSpec> graphs;
   std::vector<QuerySpec> queries;
 };
+
+/// Fill the payload `q.type` needs from (seed, k, n, palette): a path
+/// template over [0, k) for tree, weights in [0, 4] per vertex for scan,
+/// and for motif a uniform coloring from [0, palette) plus a multiset of
+/// k colors sampled from it (so it is always color-feasible). The same
+/// derivation serves workload replays and `midas_cli query`.
+void derive_payload(QuerySpec& q, std::uint32_t n, std::uint32_t palette);
 
 /// Parse a workload file without running it. Throws std::runtime_error on
 /// unreadable files or malformed lines (message carries the line number).

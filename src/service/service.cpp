@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -261,22 +262,41 @@ std::shared_ptr<const graph::Graph> DetectionService::graph(
 
 void DetectionService::validate(const QuerySpec& spec,
                                 const graph::Graph& g) const {
-  if (spec.k < 1) throw QueryValidationError("k", "must be >= 1");
+  if (spec.k < 1 || spec.k > core::kMaxK)
+    throw QueryValidationError("k", "must be in [1, " +
+                                        std::to_string(core::kMaxK) + "]");
   if (spec.field_bits < 2 || spec.field_bits > 16)
     throw QueryValidationError("field_bits", "must be in [2, 16]");
   // epsilon feeds rounds_for_epsilon (log of its reciprocal) even when
   // max_rounds overrides the round count — reject the nonsense up front.
   if (!(spec.epsilon > 0.0) || !(spec.epsilon < 1.0))
     throw QueryValidationError("epsilon", "must be in (0, 1)");
-  if (spec.max_rounds < 0)
-    throw QueryValidationError("max_rounds", "must be >= 0");
+  // Rounds size tables before any work runs: cap at what any eps derives.
+  const int max_rounds = core::rounds_for_epsilon(
+      std::numeric_limits<double>::denorm_min());
+  if (spec.max_rounds < 0 || spec.max_rounds > max_rounds)
+    throw QueryValidationError(
+        "max_rounds", "must be in [0, " + std::to_string(max_rounds) + "]");
+  // A worker's ranks and its own thread share one tracer lane block.
+  if (spec.n_ranks > kWorkerLaneStride - 1)
+    throw QueryValidationError(
+        "n_ranks",
+        "must be <= " + std::to_string(kWorkerLaneStride - 1));
   if (spec.n1 < 1 || spec.n_ranks < spec.n1 || spec.n_ranks % spec.n1 != 0)
     throw QueryValidationError("n1", "N1 must divide N");
   if (spec.n2 < 1) throw QueryValidationError("n2", "N2 must be >= 1");
-  if (spec.type == QueryType::kTree &&
-      spec.tree_edges.size() + 1 != static_cast<std::size_t>(spec.k))
-    throw QueryValidationError("tree_edges",
-                               "tree template needs exactly k-1 edges");
+  if (spec.type == QueryType::kTree) {
+    const auto k = static_cast<std::uint32_t>(spec.k);
+    if (spec.tree_edges.size() + 1 != k)
+      throw QueryValidationError("tree_edges",
+                                 "tree template needs exactly k-1 edges");
+    for (const auto& [a, b] : spec.tree_edges)
+      if (a >= k || b >= k)
+        throw QueryValidationError("tree_edges",
+                                   "edge endpoints must be < k");
+    if (spec.tree_root >= k)
+      throw QueryValidationError("tree_root", "must be < k");
+  }
   if (spec.type == QueryType::kScan &&
       spec.weights.size() != static_cast<std::size_t>(g.num_vertices()))
     throw QueryValidationError("weights",

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -20,7 +21,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "net/client.hpp"
@@ -28,6 +31,7 @@
 #include "net/server.hpp"
 #include "service/replay.hpp"
 #include "service/service.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -235,6 +239,35 @@ TEST(NetProtocol, HeaderValidationRejectsCorruption) {
   EXPECT_NO_THROW(net::validate_header(bad, net::kMaxBody));
 }
 
+/// Fill one field with random bits of its type (any enum in range).
+template <typename T>
+void randomize(T& v, Xoshiro256& rng) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = (rng() & 1) != 0;
+  } else if constexpr (service::NamedEnum<T>) {
+    v = static_cast<T>(rng() % service::enum_names(v).size());
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = std::bit_cast<double>(rng());  // NaNs and infinities included
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    v = static_cast<T>(rng());
+  } else if constexpr (requires { v.first; }) {
+    randomize(v.first, rng);
+    randomize(v.second, rng);
+  } else {
+    v.resize(rng() % 24);
+    for (auto& x : v) randomize(x, rng);
+  }
+}
+
+/// Bitwise equality per field (so NaN payloads compare equal).
+template <typename T>
+bool same_field(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, double>)
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  else
+    return a == b;
+}
+
 TEST(NetProtocol, QueryCodecRoundTrip) {
   QuerySpec q;
   q.type = QueryType::kTree;
@@ -270,6 +303,33 @@ TEST(NetProtocol, QueryCodecRoundTrip) {
   EXPECT_DOUBLE_EQ(d.timeout_s, q.timeout_s);
   EXPECT_TRUE(d.certify);
   EXPECT_TRUE(d.reamplify);
+
+  // Seeded random specs, every field drawn through the table: each field
+  // decodes equal, and re-encoding gives the identical bytes.
+  Xoshiro256 rng(0x5EC5);
+  for (int trial = 0; trial < 256; ++trial) {
+    QuerySpec spec;
+    service::for_each_field(spec, [&rng](const char*, auto& v, auto) {
+      randomize(v, rng);
+    });
+    net::WireWriter out;
+    net::encode_query(out, spec);
+    net::WireReader in(out.bytes().data(), out.bytes().size());
+    const QuerySpec back = net::decode_query(in);
+    EXPECT_EQ(in.remaining(), 0u);
+    service::for_each_field(spec, [&](const char* key, const auto& a, auto) {
+      service::for_each_field(back, [&](const char* k2, const auto& b, auto) {
+        if constexpr (std::is_same_v<decltype(a), decltype(b)>) {
+          if (std::string_view(key) == k2) {
+            EXPECT_TRUE(same_field(a, b)) << key << " trial " << trial;
+          }
+        }
+      });
+    });
+    net::WireWriter again;
+    net::encode_query(again, back);
+    EXPECT_EQ(again.bytes(), out.bytes()) << "trial " << trial;
+  }
 }
 
 TEST(NetProtocol, MotifQueryCodecRoundTrip) {
@@ -469,6 +529,14 @@ TEST(NetProtocol, MalformedQueryBodyThrows) {
   const auto bytes = w.bytes();
   net::WireReader r(bytes.data(), bytes.size());
   EXPECT_THROW((void)net::decode_query(r), net::ProtocolError);
+
+  // An enum byte past its name array is rejected, not cast.
+  net::WireWriter full;
+  net::encode_query(full, QuerySpec{});
+  auto body = full.take();
+  body[0] = 4;  // QueryType has four values
+  net::WireReader r2(body.data(), body.size());
+  EXPECT_THROW((void)net::decode_query(r2), net::ProtocolError);
 }
 
 // ---------------------------------------------------------------------------

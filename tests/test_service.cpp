@@ -4,15 +4,18 @@
 // cross-engine bit-exactness soak lives in test_service_soak.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "gf/gf256.hpp"
@@ -241,18 +244,84 @@ TEST(DetectionService, DeduplicatesIdenticalInFlightQueries) {
   (void)f4.get();
 }
 
+/// Change one field's value to a different one, whatever its type.
+template <typename T>
+void mutate(T& v) {
+  if constexpr (std::is_same_v<T, bool>)
+    v = !v;
+  else if constexpr (service::NamedEnum<T>)
+    v = static_cast<T>((static_cast<std::size_t>(v) + 1) %
+                       service::enum_names(v).size());
+  else if constexpr (std::is_arithmetic_v<T>)
+    v = static_cast<T>(v + 1);
+  else
+    v.push_back(typename T::value_type{});  // strings and vectors grow
+}
+
 TEST(DetectionService, FingerprintCoversParamsNotServingMetadata) {
+  // Every table entry, one at a time: mutating an answer field changes
+  // the fingerprint, mutating a serving field does not.
   const QuerySpec a = path_query();
-  QuerySpec b = a;
-  b.lane = Lane::kInteractive;
-  b.timeout_s = 1.5;
-  EXPECT_EQ(query_fingerprint(a), query_fingerprint(b));
-  QuerySpec c = a;
-  c.n2 = a.n2 + 1;
-  EXPECT_NE(query_fingerprint(a), query_fingerprint(c));
-  QuerySpec d = a;
-  d.kernel = core::Kernel::kScalar;
-  EXPECT_NE(query_fingerprint(a), query_fingerprint(d));
+  int fields = 0;
+  service::for_each_field(a, [&](const char*, const auto&, auto) {
+    ++fields;
+  });
+  for (int target = 0; target < fields; ++target) {
+    QuerySpec b = a;
+    int i = 0;
+    const char* key = nullptr;
+    service::FieldKind kind{};
+    service::for_each_field(b, [&](const char* k, auto& v,
+                                   service::FieldKind fk) {
+      if (i++ != target) return;
+      mutate(v);
+      key = k;
+      kind = fk;
+    });
+    if (kind == service::FieldKind::kAnswer)
+      EXPECT_NE(query_fingerprint(a), query_fingerprint(b)) << key;
+    else
+      EXPECT_EQ(query_fingerprint(a), query_fingerprint(b)) << key;
+  }
+  // Length prefixes keep adjacent vectors from trading elements.
+  QuerySpec c = a, d = a;
+  c.colors = {1};
+  d.motif = {1};
+  EXPECT_NE(query_fingerprint(c), query_fingerprint(d));
+}
+
+/// Accepts any initializer: counts an aggregate's members.
+struct AnyInit {
+  template <typename T>
+  operator T() const;
+};
+
+template <typename T, typename... A>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{A{}..., AnyInit{}}; })
+    return member_count<T, A..., AnyInit>();
+  else
+    return sizeof...(A);
+}
+
+TEST(DetectionService, FieldTableListsEveryQuerySpecMember) {
+  // A QuerySpec member without a for_each_field entry would be missing
+  // from the fingerprint, the wire and the workload keys. The five retry
+  // entries are one member (RetryPolicy) of the aggregate.
+  QuerySpec q;
+  const auto* retry_lo = reinterpret_cast<const char*>(&q.retry);
+  std::size_t entries = 0, retry_entries = 0;
+  std::vector<std::string> keys;
+  service::for_each_field(q, [&](const char* key, const auto& v, auto) {
+    const auto* p = reinterpret_cast<const char*>(&v);
+    const bool in_retry = p >= retry_lo && p < retry_lo + sizeof(q.retry);
+    ++(in_retry ? retry_entries : entries);
+    keys.emplace_back(key);
+  });
+  EXPECT_EQ(retry_entries, 5u);
+  EXPECT_EQ(entries + 1, member_count<QuerySpec>());
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
 TEST(DetectionService, QueuedPastDeadlineFailsWithoutPoisoningPool) {
@@ -378,6 +447,34 @@ TEST(DetectionService, ValidationErrors) {
   q = path_query();
   q.epsilon = 2.0;
   EXPECT_THROW((void)svc.submit(q), ServiceError);
+
+  // Admission bounds on outside input, each named by its field. Only
+  // rejected values: nothing here runs near a bound.
+  auto expect_field = [&svc](const QuerySpec& bad, const char* field) {
+    try {
+      (void)svc.submit(bad);
+      ADD_FAILURE() << "expected QueryValidationError on " << field;
+    } catch (const QueryValidationError& e) {
+      EXPECT_EQ(e.field(), field);
+    }
+  };
+  q = path_query(core::kMaxK + 1);
+  expect_field(q, "k");
+  q = path_query();
+  q.n_ranks = 64;  // n1 = 2 divides it; the rank bound alone rejects it
+  expect_field(q, "n_ranks");
+  q = path_query();
+  q.max_rounds =
+      core::rounds_for_epsilon(std::numeric_limits<double>::denorm_min()) +
+      1;
+  expect_field(q, "max_rounds");
+  q = path_query();
+  q.type = QueryType::kTree;
+  q.tree_edges = {{0, 1}, {1, 2}, {2, 4}};  // k = 4: vertex 4 is out
+  expect_field(q, "tree_edges");
+  q.tree_edges = {{0, 1}, {1, 2}, {2, 3}};
+  q.tree_root = 4;
+  expect_field(q, "tree_root");
 }
 
 TEST(DetectionService, ShutdownFailsQueuedQueries) {
@@ -687,7 +784,10 @@ TEST(ServiceResilience, OverloadErrorReportsBothLanesAndShedPolicy) {
 class ReplayFile : public ::testing::Test {
  protected:
   void write(const std::string& text) {
-    path_ = ::testing::TempDir() + "/service_replay_test.workload";
+    // One file per test: ctest runs the tests as parallel processes.
+    path_ = ::testing::TempDir() + "/service_replay_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".workload";
     std::ofstream out(path_);
     out << text;
   }
@@ -718,14 +818,68 @@ TEST_F(ReplayFile, RunsMixedWorkloadAndReportsPerLane) {
 }
 
 TEST_F(ReplayFile, MalformedLinesFailWithLineNumbers) {
-  write("graph g gnp 40 0.1 1\nbogus directive\n");
-  EXPECT_THROW((void)service::run_replay(path_), std::runtime_error);
-  write("query type=path graph=missing k=4\n");
-  EXPECT_THROW((void)service::run_replay(path_), std::runtime_error);
-  write("graph g gnp 40 0.1 1\nquery type=path graph=g wat=1\n");
-  EXPECT_THROW((void)service::run_replay(path_), std::runtime_error);
+  auto expect_error = [this](const std::string& text,
+                             const std::string& prefix) {
+    write(text);
+    try {
+      (void)service::run_replay(path_);
+      ADD_FAILURE() << "expected an error for: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << e.what() << " (expected prefix '" << prefix << "')";
+    }
+  };
+  expect_error("graph g gnp 40 0.1 1\nbogus directive\n",
+               "workload line 2: ");
+  expect_error("query type=path graph=missing k=4\n", "workload line 1: ");
+  const std::string g = "graph g gnp 40 0.1 1\nquery type=path graph=g ";
+  expect_error(g + "wat=1\n", "workload line 2: wat: ");
+  // Every value parses whole and in range, or fails naming its key.
+  expect_error(g + "k=5x\n", "workload line 2: k: ");
+  expect_error(g + "k=abc\n", "workload line 2: k: ");
+  expect_error(g + "repeat=x\n", "workload line 2: repeat: ");
+  expect_error(g + "palette=x\n", "workload line 2: palette: ");
+  expect_error(g + "n2=-1\n", "workload line 2: n2: ");
+  expect_error(g + "repeat=-3\n", "workload line 2: repeat: ");
+  expect_error(g + "k=4 k=5\n", "workload line 2: k: ");
+  expect_error(g + "lane=interactve\n", "workload line 2: lane: ");
+  expect_error(g + "certify=2\n", "workload line 2: certify: ");
+  expect_error(g + "weights=1\n", "workload line 2: weights: ");
   EXPECT_THROW((void)service::run_replay("/nonexistent.workload"),
                std::runtime_error);
+}
+
+TEST_F(ReplayFile, TableKeysSetScalarFields) {
+  write("graph g gnp 40 0.1 1\n"
+        "query type=tree graph=g k=3 l=12 eps=0.25 seed=9 rounds=4 "
+        "early_exit=0 kernel=scalar n=4 n1=2 n2=8 root=1 certify=1 "
+        "reamplify=1 timeout=2.5 attempts=2 backoff=0.5 backoff_mult=3 "
+        "max_backoff=1 jitter=0 lane=interactive\n");
+  const auto wl = service::parse_workload(path_);
+  ASSERT_EQ(wl.queries.size(), 1u);
+  const QuerySpec& q = wl.queries[0];
+  EXPECT_EQ(q.type, QueryType::kTree);
+  EXPECT_EQ(q.lane, Lane::kInteractive);
+  EXPECT_EQ(q.k, 3);
+  EXPECT_EQ(q.field_bits, 12);
+  EXPECT_DOUBLE_EQ(q.epsilon, 0.25);
+  EXPECT_EQ(q.seed, 9u);
+  EXPECT_EQ(q.max_rounds, 4);
+  EXPECT_FALSE(q.early_exit);
+  EXPECT_EQ(q.kernel, core::Kernel::kScalar);
+  EXPECT_EQ(q.n_ranks, 4);
+  EXPECT_EQ(q.n1, 2);
+  EXPECT_EQ(q.n2, 8u);
+  EXPECT_EQ(q.tree_root, 1u);
+  EXPECT_TRUE(q.certify);
+  EXPECT_TRUE(q.reamplify);
+  EXPECT_DOUBLE_EQ(q.timeout_s, 2.5);
+  EXPECT_EQ(q.retry.max_attempts, 2);
+  EXPECT_DOUBLE_EQ(q.retry.base_backoff_s, 0.5);
+  EXPECT_DOUBLE_EQ(q.retry.multiplier, 3.0);
+  EXPECT_DOUBLE_EQ(q.retry.max_backoff_s, 1.0);
+  EXPECT_DOUBLE_EQ(q.retry.jitter, 0.0);
+  EXPECT_EQ(q.tree_edges.size(), 2u);  // derived: a path over k vertices
 }
 
 }  // namespace
