@@ -101,15 +101,14 @@ int main(int argc, char** argv) {
       std::span<const double>(sim.baselines()), bstep);
   const auto rw =
       scan::round_weights(std::span<const double>(sim.cases()), wstep);
-  core::Scan2DOptions s2;
-  s2.max_size = std::min(k, 4);
-  s2.max_baseline = 10;
+  core::ScanOptions s2;
+  s2.k = std::min(k, 4);
   s2.epsilon = 1e-3;
   s2.seed = cfg.seed;
   t.reset();
   gf::GF256 field;
-  const auto table2 =
-      core::detect_scan2d_seq(sim.network(), rb, rw, s2, field);
+  const auto table2 = core::detect_scan2d_seq(sim.network(), rb, rw,
+                                              /*max_baseline=*/10, s2, field);
   const auto best2 = core::maximize_scan2d(
       table2, [&](std::uint32_t wz, std::uint32_t by) {
         const double W = wz * wstep, B = by * bstep;
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
       });
   std::printf("\nfull Problem 2 (Kulldorff, real baselines, size<=%d): "
               "score %.3f at baseline %.1f with %.1f cases (%.0f ms)\n",
-              s2.max_size, best2.score, best2.baseline * bstep,
+              s2.k, best2.score, best2.baseline * bstep,
               best2.weight * wstep, t.elapsed_ms());
   return q.f1 >= 0.4 ? 0 : 1;
 }

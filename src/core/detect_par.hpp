@@ -583,10 +583,11 @@ struct DriverRun {
   std::vector<std::uint8_t> found;
   std::size_t cells = 1;
 
-  [[nodiscard]] bool any(std::size_t c) const {
-    for (std::size_t i = c; i < found.size(); i += cells)
-      if (found[i] != 0) return true;
-    return false;
+  /// hits()[c] is 1 when cell c reduced to nonzero in any round.
+  [[nodiscard]] std::vector<std::uint8_t> hits() const {
+    std::vector<std::uint8_t> h(cells);
+    for (std::size_t i = 0; i < found.size(); ++i) h[i % cells] |= found[i];
+    return h;
   }
 };
 
@@ -918,17 +919,6 @@ DriverRun run_driver(const std::vector<partition::PartView>& views,
   return run;
 }
 
-/// Largest weight any k vertices can sum to (the top of the weight axis).
-[[nodiscard]] inline std::uint32_t max_weight_sum(
-    const std::vector<std::uint32_t>& weights, int k) {
-  std::vector<std::uint32_t> sorted(weights);
-  std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  std::uint32_t wmax = 0;
-  for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-    wmax += sorted[static_cast<std::size_t>(i)];
-  return wmax;
-}
-
 /// Per-vertex inputs (weights, colors) must cover every vertex of the parts.
 inline void require_vertex_values(
     const std::vector<partition::PartView>& views, std::size_t count,
@@ -1180,12 +1170,14 @@ struct TreeRec {
 };
 
 /// The layered connected-subgraph DP (paper Algorithm 5): layer j holds
-/// subtrees of size j, row z of a vertex those of weight z, and
-/// P(i,j,z) = sum_{u ~ i} sigma_{i,u,j} sum_{j1,z1} P(i,j1,z1) P(u,j-j1,z-z1).
-/// Scan feasibility runs it with the weight axis, liveness-gated leaves
-/// and a fold of every (j, z) cell; the Graph Motif sieve (core/motif.hpp)
-/// is the same recurrence at width 1 with shade-subset leaves and a
-/// level-k fold.
+/// subtrees of size j, row (y, z) of a vertex those of baseline y and
+/// weight z, and P(i,j,y,z) = sum_{u ~ i} sigma_{i,u,j} sum_{j1,y1,z1}
+/// P(i,j1,y1,z1) P(u,j-j1,y-y1,z-z1). Scan feasibility runs it with the
+/// weight axis (height 1), liveness-gated leaves and a fold of every cell;
+/// Problem 2 (core/scan2d.hpp) adds the baseline axis of height
+/// max_baseline + 1, another variable of the same generating function;
+/// the Graph Motif sieve (core/motif.hpp) is the recurrence at 1 x 1 with
+/// shade-subset leaves and a level-k fold.
 template <gf::GaloisField F>
 struct LayeredRec {
   using V = typename F::value_type;
@@ -1194,11 +1186,15 @@ struct LayeredRec {
   const std::vector<std::uint32_t>* weights;  // scan (exactly one of
   const ShadePlan* plan;                      // these two), or motif
   std::uint64_t extra;                        // hash of the input
+  const std::vector<std::uint32_t>* baselines = nullptr;  // Problem 2 only
+  std::uint32_t height = 1;  // baseline axis: max_baseline + 1
   std::uint32_t width = plan ? 1 : max_weight_sum(*weights, opt.k) + 1;
-  std::size_t cells = plan ? 1 : static_cast<std::size_t>(opt.k + 1) * width;
+  std::size_t plane = static_cast<std::size_t>(height) * width;
+  std::size_t cells = plan ? 1 : static_cast<std::size_t>(opt.k + 1) * plane;
   bool stops_on_hit = plan != nullptr;
-  std::uint64_t tag = plan ? 0x6d6f746966ULL /* "motif" */
-                           : 0x7363616eULL /* "scan" */;
+  std::uint64_t tag = plan        ? 0x6d6f746966ULL /* "motif" */
+                      : baselines ? 0x7363616e3264ULL /* "scan2d" */
+                                  : 0x7363616eULL /* "scan" */;
 
   template <class Lanes>
   struct Kernel {
@@ -1245,15 +1241,17 @@ struct LayeredRec {
     void phase(V* acc) {
       auto& L = ctx.lanes;
       const auto& view = ctx.view;
-      const std::size_t batch = L.batch, rw = L.row(), W = rec.width;
-      const std::size_t stride = W * rw;
+      const std::size_t batch = L.batch, rw = L.row(), H = rec.height,
+                        W = rec.width, P = rec.plane;
+      const std::size_t stride = P * rw;
       for (int j = 1; j <= k; ++j) vals[j].assign(nl * stride, E{});
       sum.resize(rw);
       const std::uint64_t ws =
-          ctx.adj_bytes + k * (nl + ctx.ng) * W * batch * sizeof(V);
+          ctx.adj_bytes + k * (nl + ctx.ng) * P * batch * sizeof(V);
 
       // Base case: the shade-subset leaf values d_i(q) (motif), or the
-      // level-1 coefficient in the live lanes at the vertex's own weight.
+      // level-1 coefficient in the live lanes at the vertex's own
+      // (baseline, weight) row; a vertex over the baseline cap has none.
       if (rec.plan != nullptr) {
         for (std::size_t li = 0; li < nl; ++li) {
           const std::uint32_t mask = rec.plan->vertex_mask[view.vertices[li]];
@@ -1264,13 +1262,15 @@ struct LayeredRec {
         }
       } else {
         L.set_live(v);
-        for (std::size_t li = 0; li < nl; ++li)
-          L.broadcast(
-              &vals[1][li * stride + (*rec.weights)[view.vertices[li]] * rw],
-              leaf[li], li);
+        for (std::size_t li = 0; li < nl; ++li) {
+          const std::size_t c =
+              scan_leaf_row(*rec.weights, rec.baselines, rec.height, rec.width,
+                            view.vertices[li]);
+          if (c < P) L.broadcast(&vals[1][li * stride + c * rw], leaf[li], li);
+        }
       }
       ctx.world.charge_compute(nl * batch);
-      L.exchange(ctx.group, view, vals[1], ghost[1], W);
+      L.exchange(ctx.group, view, vals[1], ghost[1], P);
 
       for (int j = 2; j <= k; ++j) {
         for (std::size_t li = 0; li < nl; ++li) {
@@ -1284,28 +1284,34 @@ struct LayeredRec {
                 rec.f, rec.opt.seed, round, gid,
                 ref.is_ghost() ? view.ghosts[idx] : view.vertices[idx],
                 static_cast<std::uint32_t>(j)));
-            // Convolve into one row per weight, then fold it in with a
-            // single scale by sigma (value-identical by distributivity).
-            for (std::size_t z = 0; z < W; ++z) {
-              L.zero(sum.data());
-              bool any = false;
-              for (int j1 = 1; j1 <= j - 1; ++j1)
-                any |= L.mul_add(
-                    sum.data(), &vals[j1][li * stride],
-                    (ref.is_ghost() ? ghost[j - j1] : vals[j - j1]).data() +
-                        idx * stride,
-                    z);
-              if (any) L.scale_add(out + z * rw, sig, sum.data());
-            }
+            // Convolve into one row per (baseline, weight), then fold it in
+            // with a single scale by sigma (value-identical by
+            // distributivity).
+            for (std::size_t y = 0; y < H; ++y)
+              for (std::size_t z = 0; z < W; ++z) {
+                L.zero(sum.data());
+                bool any = false;
+                for (int j1 = 1; j1 <= j - 1; ++j1) {
+                  const E* own = &vals[j1][li * stride];
+                  const E* oth =
+                      (ref.is_ghost() ? ghost[j - j1] : vals[j - j1]).data() +
+                      idx * stride;
+                  for (std::size_t y1 = 0; y1 <= y; ++y1)
+                    any |= L.mul_add(sum.data(), own + y1 * W * rw,
+                                     oth + (y - y1) * W * rw, z);
+                }
+                if (any) L.scale_add(out + (y * W + z) * rw, sig, sum.data());
+              }
           }
         }
-        // The scalar (edge, j1, z, z1) row sweep in closed form; motif's
-        // charge also counts the sigma scale of each edge row.
-        const std::uint64_t per_edge = rec.plan != nullptr
-                                           ? static_cast<std::uint64_t>(j)
-                                           : (j - 1) * (W * (W + 1) / 2);
+        // The scalar (edge, j1, y, y1, z, z1) row sweep in closed form;
+        // motif's charge also counts the sigma scale of each edge row.
+        const std::uint64_t per_edge =
+            rec.plan != nullptr
+                ? static_cast<std::uint64_t>(j)
+                : (j - 1) * (W * (W + 1) / 2) * (H * (H + 1) / 2);
         ctx.charge_level(view.adj.size() * per_edge * batch, ws);
-        if (j < k) L.exchange(ctx.group, view, vals[j], ghost[j], W);
+        if (j < k) L.exchange(ctx.group, view, vals[j], ghost[j], P);
       }
 
       if (rec.plan != nullptr) {
@@ -1313,7 +1319,7 @@ struct LayeredRec {
         ctx.world.charge_compute(nl * batch);
         return;
       }
-      // Per-(j, z) sums. As in the sequential detector, size-j sums fold
+      // Per-(j, y, z) sums. As in the sequential detector, size-j sums fold
       // only iterations q < 2^j (degree-j detection lives in that
       // subgroup; folding all 2^k iterations would cancel sizes < k).
       for (int j = 1; j <= k; ++j) {
@@ -1321,9 +1327,9 @@ struct LayeredRec {
         if (L.q0 >= jlimit) continue;
         const std::size_t lanes =
             std::min<std::uint64_t>(batch, jlimit - L.q0);
-        for (std::size_t z = 0; z < W; ++z)
-          acc[j * W + z] = rec.f.add(acc[j * W + z],
-                                     L.fold(&vals[j][z * rw], nl, W, lanes));
+        for (std::size_t c = 0; c < P; ++c)
+          acc[j * P + c] = rec.f.add(acc[j * P + c],
+                                     L.fold(&vals[j][c * rw], nl, P, lanes));
       }
       ctx.world.charge_compute(nl * batch * k);
     }
@@ -1400,18 +1406,10 @@ MidasScanResult midas_scan_views(
   const detail::LayeredRec<F> rec{
       f, opt, &weights, nullptr,
       runtime::fnv1a(std::as_bytes(std::span(weights)))};
-  detail::DriverRun run = detail::run_driver(views, opt, f, rec);
+  const detail::DriverRun run = detail::run_driver(views, opt, f, rec);
   const MidasResult& r = run.result;
-  MidasScanResult result{
-      {opt.k, rec.width - 1,
-       std::vector(static_cast<std::size_t>(opt.k) + 1,
-                   std::vector<bool>(rec.width, false))},
-      r.vtime, r.wall_s, r.total_stats, r.vclocks, r.resumed_from_round};
-  for (int j = 1; j <= opt.k; ++j)
-    for (std::uint32_t z = 0; z < rec.width; ++z)
-      result.table.feasible[static_cast<std::size_t>(j)][z] =
-          run.any(static_cast<std::size_t>(j) * rec.width + z);
-  return result;
+  return {FeasibilityTable::from_cells(opt.k, rec.width - 1, run.hits()),
+          r.vtime, r.wall_s, r.total_stats, r.vclocks, r.resumed_from_round};
 }
 
 /// Distributed scan feasibility over a (graph, partition) pair.
@@ -1480,8 +1478,9 @@ MidasWeightedResult midas_weighted_kpath(
   MidasWeightedResult result{std::vector<bool>(rec.width, false), {},
                              r.vtime, r.wall_s, r.total_stats,
                              r.resumed_from_round};
+  const auto hits = run.hits();
   for (std::uint32_t z = 0; z < rec.width; ++z)
-    if (run.any(z)) {
+    if (hits[z] != 0) {
       result.feasible_weight[z] = true;
       result.max_weight = z;
     }

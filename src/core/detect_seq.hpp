@@ -465,6 +465,20 @@ struct FeasibilityTable {
     return j >= 1 && j <= k && z <= max_weight &&
            feasible[static_cast<std::size_t>(j)][z];
   }
+
+  /// The table of a layered-DP run at height 1: (j, z) is feasible when
+  /// cell j * (max_weight + 1) + z was hit.
+  static FeasibilityTable from_cells(int k, std::uint32_t max_weight,
+                                     const std::vector<std::uint8_t>& hit) {
+    FeasibilityTable t{k, max_weight, {}};
+    t.feasible.assign(static_cast<std::size_t>(k) + 1,
+                      std::vector<bool>(max_weight + 1, false));
+    for (int j = 1; j <= k; ++j)
+      for (std::uint32_t z = 0; z <= max_weight; ++z)
+        t.feasible[static_cast<std::size_t>(j)][z] =
+            hit[static_cast<std::size_t>(j) * (max_weight + 1) + z] != 0;
+    return t;
+  }
 };
 
 struct ScanOptions {
@@ -484,45 +498,90 @@ struct ScanOptions {
   }
 };
 
+/// Largest weight any k vertices can sum to: the top of a weight axis.
+[[nodiscard]] inline std::uint32_t max_weight_sum(
+    const std::vector<std::uint32_t>& weights, int k) {
+  std::vector<std::uint32_t> sorted(weights);
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  std::uint32_t wmax = 0;
+  for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
+    wmax += sorted[static_cast<std::size_t>(i)];
+  return wmax;
+}
+
+/// The scan DP's leaf row of vertex i in its (baseline, weight) plane of
+/// height H and width W: y * W + z with y its baseline (0 without a
+/// baseline axis) and z its weight; H * W (no leaf) when y exceeds the cap.
+[[nodiscard]] inline std::size_t scan_leaf_row(
+    const std::vector<std::uint32_t>& weights,
+    const std::vector<std::uint32_t>* baselines, std::uint32_t H,
+    std::uint32_t W, std::size_t i) {
+  const std::uint32_t y = baselines != nullptr ? (*baselines)[i] : 0;
+  if (y >= H) return static_cast<std::size_t>(H) * W;
+  return static_cast<std::size_t>(y) * W + weights[i];
+}
+
 namespace detail_seq {
 
+/// The layered DP's detections, OR-ed over rounds, over the cells of size
+/// j in [0, k], baseline y in [0, H) and weight z in [0, W): hit[(j * H +
+/// y) * W + z]. The scan runs it at H = 1 with no baselines; Problem 2
+/// (core/scan2d.hpp) adds the baseline axis, which convolves exactly like
+/// the weight axis.
+struct ScanAxes {
+  const std::vector<std::uint32_t>& weights;
+  const std::vector<std::uint32_t>* baselines;  // null: every baseline 0
+  std::uint32_t H;
+  std::uint32_t W;
+
+  [[nodiscard]] std::size_t plane() const {
+    return static_cast<std::size_t>(H) * W;
+  }
+  /// The cell opt.watch_(j, z) names at baseline 0, or past the grid.
+  [[nodiscard]] std::size_t watch(const ScanOptions& opt) const {
+    if (opt.watch_j <= 0 || opt.watch_j > opt.k || opt.watch_z >= W)
+      return SIZE_MAX;
+    return static_cast<std::size_t>(opt.watch_j) * plane() + opt.watch_z;
+  }
+};
+
 template <gf::GaloisField F>
-void scan_scalar(const graph::Graph& g,
-                 const std::vector<std::uint32_t>& weights,
-                 const ScanOptions& opt, const F& f, FeasibilityTable& table) {
+std::vector<std::uint8_t> scan_scalar(const graph::Graph& g,
+                                      const ScanAxes& ax,
+                                      const ScanOptions& opt, const F& f) {
   const int k = opt.k;
   const graph::VertexId n = g.num_vertices();
   using V = typename F::value_type;
   const std::uint64_t iters = std::uint64_t{1} << k;
-  const std::uint32_t width = table.max_weight + 1;
+  const std::uint32_t H = ax.H, W = ax.W;
+  const std::size_t plane = ax.plane();
+  std::vector<std::uint8_t> hit((static_cast<std::size_t>(k) + 1) * plane);
   std::vector<std::uint32_t> v(n);
-  // vals[j][z * n + i]: value of P(i, j, z) at the current iteration.
+  // vals[j][c * n + i]: value of P(i, j, c) at the current iteration, for
+  // the plane cell c = y * W + z.
   std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
   for (int j = 1; j <= k; ++j)
-    vals[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(width) * n, f.zero());
-  // accum[j][z]: XOR over iterations of sum_i P(i, j, z).
-  std::vector<std::vector<V>> accum(static_cast<std::size_t>(k) + 1,
-                                    std::vector<V>(width, f.zero()));
+    vals[static_cast<std::size_t>(j)].assign(plane * n, f.zero());
+  // accum[j * plane + c]: XOR over iterations of sum_i P(i, j, c).
+  std::vector<V> accum(hit.size());
 
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
     for (graph::VertexId i = 0; i < n; ++i)
       v[i] = v_vector(opt.seed, round, i, k);
-    for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
+    std::fill(accum.begin(), accum.end(), f.zero());
 
     for (std::uint64_t t = 0; t < iters; ++t) {
-      // Base case: P(i, 1, w(i)) = r_i * [v_i ⟂ t].
+      // Base case: P(i, 1, leaf cell) = r_i * [v_i ⟂ t].
       auto& base = vals[1];
       std::fill(base.begin(), base.end(), f.zero());
       for (graph::VertexId i = 0; i < n; ++i) {
-        const bool live =
-            !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
-        if (live)
-          base[static_cast<std::size_t>(weights[i]) * n + i] =
-              field_coeff(f, opt.seed, round, i, 1);
+        const std::size_t c = scan_leaf_row(ax.weights, ax.baselines, H, W, i);
+        if (c < plane &&
+            !inner_product_odd(v[i], static_cast<std::uint32_t>(t)))
+          base[c * n + i] = field_coeff(f, opt.seed, round, i, 1);
       }
-      // Inductive step over sizes.
+      // Inductive step over sizes: both axes convolve.
       for (int j = 2; j <= k; ++j) {
         auto& out = vals[static_cast<std::size_t>(j)];
         std::fill(out.begin(), out.end(), f.zero());
@@ -533,17 +592,18 @@ void scan_scalar(const graph::Graph& g,
             for (int j1 = 1; j1 <= j - 1; ++j1) {
               const auto& own = vals[static_cast<std::size_t>(j1)];
               const auto& oth = vals[static_cast<std::size_t>(j - j1)];
-              for (std::uint32_t z = 0; z < width; ++z) {
+              for (std::size_t c = 0; c < plane; ++c) {
+                const std::size_t y = c / W, z = c % W;
                 V acc = f.zero();
-                for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                  const V a = own[static_cast<std::size_t>(z1) * n + i];
-                  if (a == f.zero()) continue;
-                  const V b =
-                      oth[static_cast<std::size_t>(z - z1) * n + u];
-                  acc = f.add(acc, f.mul(a, b));
-                }
+                for (std::size_t y1 = 0; y1 <= y; ++y1)
+                  for (std::size_t z1 = 0; z1 <= z; ++z1) {
+                    const V a = own[(y1 * W + z1) * n + i];
+                    if (a == f.zero()) continue;
+                    const V b = oth[((y - y1) * W + (z - z1)) * n + u];
+                    acc = f.add(acc, f.mul(a, b));
+                  }
                 if (acc != f.zero()) {
-                  auto& cell = out[static_cast<std::size_t>(z) * n + i];
+                  auto& cell = out[c * n + i];
                   cell = f.add(cell, f.mul(sig, acc));
                 }
               }
@@ -551,7 +611,7 @@ void scan_scalar(const graph::Graph& g,
           }
         }
       }
-      // Accumulate sums over vertices for every (j, z). Size-j detection
+      // Accumulate sums over vertices for every (j, c). Size-j detection
       // needs its monomials counted over a 2^j-element subgroup: summing a
       // degree-j term over all 2^k iterations counts it 2^{k-rank} times
       // with rank <= j < k — always even, i.e. it always cancels. So the
@@ -562,29 +622,28 @@ void scan_scalar(const graph::Graph& g,
       for (int j = 1; j <= k; ++j) {
         if (t >= (std::uint64_t{1} << j)) continue;
         const auto& layer = vals[static_cast<std::size_t>(j)];
-        auto& acc = accum[static_cast<std::size_t>(j)];
-        for (std::uint32_t z = 0; z < width; ++z) {
+        V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
+        for (std::size_t c = 0; c < plane; ++c) {
           V sum = f.zero();
           for (graph::VertexId i = 0; i < n; ++i)
-            sum = f.add(sum, layer[static_cast<std::size_t>(z) * n + i]);
-          acc[z] = f.add(acc[z], sum);
+            sum = f.add(sum, layer[c * n + i]);
+          acc[c] = f.add(acc[c], sum);
         }
       }
     }
-    // Fold this round's detections into the table (true entries stay true).
-    for (int j = 1; j <= k; ++j)
-      for (std::uint32_t z = 0; z < width; ++z)
-        if (accum[static_cast<std::size_t>(j)][z] != f.zero())
-          table.feasible[static_cast<std::size_t>(j)][z] = true;
-    if (opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z)) break;
+    // Fold this round's detections in (hits stay hits).
+    for (std::size_t c = 0; c < hit.size(); ++c)
+      if (accum[c] != f.zero()) hit[c] = 1;
+    if (const std::size_t w = ax.watch(opt); w < hit.size() && hit[w]) break;
   }
+  return hit;
 }
 
 template <gf::Bitsliceable F>
-void scan_bitsliced(const graph::Graph& g,
-                    const std::vector<std::uint32_t>& weights,
-                    const ScanOptions& opt, const F& f,
-                    FeasibilityTable& table) {
+std::vector<std::uint8_t> scan_bitsliced(const graph::Graph& g,
+                                         const ScanAxes& ax,
+                                         const ScanOptions& opt,
+                                         const F& f) {
   const int k = opt.k;
   const graph::VertexId n = g.num_vertices();
   using V = typename F::value_type;
@@ -593,17 +652,17 @@ void scan_bitsliced(const graph::Graph& g,
   const BS bs(f);
   const int L = bs.words();
   const std::uint64_t iters = std::uint64_t{1} << k;
-  const std::uint32_t width = table.max_weight + 1;
+  const std::uint32_t H = ax.H, W = ax.W;
+  const std::size_t plane = ax.plane();
+  std::vector<std::uint8_t> hit((static_cast<std::size_t>(k) + 1) * plane);
   std::vector<std::uint32_t> v(n);
   std::vector<word> live(n);
   std::vector<V> c1(n);  // base-case coefficients, hoisted per round
-  // vals[j][(z * n + i) * L .. +L): the block of P(i, j, z).
+  // vals[j][(c * n + i) * L .. +L): the block of P(i, j, c).
   std::vector<std::vector<word>> vals(static_cast<std::size_t>(k) + 1);
   for (int j = 1; j <= k; ++j)
-    vals[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(width) * n * L, 0);
-  std::vector<std::vector<V>> accum(static_cast<std::size_t>(k) + 1,
-                                    std::vector<V>(width, f.zero()));
+    vals[static_cast<std::size_t>(j)].assign(plane * n * L, 0);
+  std::vector<V> accum(hit.size());
 
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
@@ -611,7 +670,7 @@ void scan_bitsliced(const graph::Graph& g,
       v[i] = v_vector(opt.seed, round, i, k);
       c1[i] = field_coeff(f, opt.seed, round, i, 1);
     }
-    for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
+    std::fill(accum.begin(), accum.end(), f.zero());
 
     for (std::uint64_t base_t = 0; base_t < iters; base_t += BS::kLanes) {
       const int lanes = static_cast<int>(
@@ -620,10 +679,10 @@ void scan_bitsliced(const graph::Graph& g,
         live[i] = BS::live_mask(v[i], base_t, lanes);
       auto& base = vals[1];
       std::fill(base.begin(), base.end(), 0);
-      for (graph::VertexId i = 0; i < n; ++i)
-        bs.broadcast(
-            &base[(static_cast<std::size_t>(weights[i]) * n + i) * L], c1[i],
-            live[i]);
+      for (graph::VertexId i = 0; i < n; ++i) {
+        const std::size_t c = scan_leaf_row(ax.weights, ax.baselines, H, W, i);
+        if (c < plane) bs.broadcast(&base[(c * n + i) * L], c1[i], live[i]);
+      }
       for (int j = 2; j <= k; ++j) {
         auto& out = vals[static_cast<std::size_t>(j)];
         std::fill(out.begin(), out.end(), 0);
@@ -634,26 +693,26 @@ void scan_bitsliced(const graph::Graph& g,
             for (int j1 = 1; j1 <= j - 1; ++j1) {
               const auto& own = vals[static_cast<std::size_t>(j1)];
               const auto& oth = vals[static_cast<std::size_t>(j - j1)];
-              for (std::uint32_t z = 0; z < width; ++z) {
+              for (std::size_t c = 0; c < plane; ++c) {
+                const std::size_t y = c / W, z = c % W;
                 word acc[16] = {};
                 word prod[16];
                 bool any = false;
-                for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                  const word* a =
-                      &own[(static_cast<std::size_t>(z1) * n + i) * L];
-                  if (bs.is_zero(a)) continue;
-                  const word* b =
-                      &oth[(static_cast<std::size_t>(z - z1) * n + u) * L];
-                  if (bs.is_zero(b)) continue;
-                  bs.mul(prod, a, b);
-                  bs.add_into(acc, prod);
-                  any = true;
-                }
+                for (std::size_t y1 = 0; y1 <= y; ++y1)
+                  for (std::size_t z1 = 0; z1 <= z; ++z1) {
+                    const word* a = &own[((y1 * W + z1) * n + i) * L];
+                    if (bs.is_zero(a)) continue;
+                    const word* b =
+                        &oth[(((y - y1) * W + (z - z1)) * n + u) * L];
+                    if (bs.is_zero(b)) continue;
+                    bs.mul(prod, a, b);
+                    bs.add_into(acc, prod);
+                    any = true;
+                  }
                 if (any && !bs.is_zero(acc)) {
                   word scaled[16];
                   bs.mul_matrix(scaled, sig, acc);
-                  bs.add_into(&out[(static_cast<std::size_t>(z) * n + i) * L],
-                              scaled);
+                  bs.add_into(&out[(c * n + i) * L], scaled);
                 }
               }
             }
@@ -670,22 +729,36 @@ void scan_bitsliced(const graph::Graph& g,
         const word jmask =
             lv >= BS::kLanes ? ~word{0} : ((word{1} << lv) - 1);
         const auto& layer = vals[static_cast<std::size_t>(j)];
-        auto& acc = accum[static_cast<std::size_t>(j)];
-        for (std::uint32_t z = 0; z < width; ++z) {
+        V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
+        for (std::size_t c = 0; c < plane; ++c) {
           word sum[16] = {};
           for (graph::VertexId i = 0; i < n; ++i)
-            bs.add_into(sum,
-                        &layer[(static_cast<std::size_t>(z) * n + i) * L]);
-          acc[z] = f.add(acc[z], static_cast<V>(bs.fold_xor(sum, jmask)));
+            bs.add_into(sum, &layer[(c * n + i) * L]);
+          acc[c] = f.add(acc[c], static_cast<V>(bs.fold_xor(sum, jmask)));
         }
       }
     }
-    for (int j = 1; j <= k; ++j)
-      for (std::uint32_t z = 0; z < width; ++z)
-        if (accum[static_cast<std::size_t>(j)][z] != f.zero())
-          table.feasible[static_cast<std::size_t>(j)][z] = true;
-    if (opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z)) break;
+    for (std::size_t c = 0; c < hit.size(); ++c)
+      if (accum[c] != f.zero()) hit[c] = 1;
+    if (const std::size_t w = ax.watch(opt); w < hit.size() && hit[w]) break;
   }
+  return hit;
+}
+
+/// Run the layered DP under opt.kernel (see ScanAxes for the cell layout).
+template <gf::GaloisField F>
+std::vector<std::uint8_t> scan_cells(const graph::Graph& g,
+                                     const ScanAxes& ax,
+                                     const ScanOptions& opt, const F& f) {
+  if (g.num_vertices() == 0)
+    return std::vector<std::uint8_t>((opt.k + 1) * ax.plane());
+  const bool bitsliced = use_bitsliced(f, opt.kernel);
+  MIDAS_TRACE_SPAN(bitsliced ? "seq.scan.bitsliced" : "seq.scan.scalar",
+                   {"k", opt.k});
+  if (bitsliced) {
+    if constexpr (gf::Bitsliceable<F>) return scan_bitsliced(g, ax, opt, f);
+  }
+  return scan_scalar(g, ax, opt, f);
 }
 
 }  // namespace detail_seq
@@ -702,32 +775,10 @@ FeasibilityTable detect_scan_seq(const graph::Graph& g,
   MIDAS_REQUIRE(weights.size() == n, "one weight per vertex required");
 
   // Maximum achievable weight of a k-subset bounds the table width.
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
-
-  FeasibilityTable table;
-  table.k = k;
-  table.max_weight = wmax;
-  table.feasible.assign(static_cast<std::size_t>(k) + 1,
-                        std::vector<bool>(wmax + 1, false));
-  if (n == 0) return table;
-
-  const bool bitsliced = detail_seq::use_bitsliced(f, opt.kernel);
-  MIDAS_TRACE_SPAN(bitsliced ? "seq.scan.bitsliced" : "seq.scan.scalar",
-                   {"k", k});
-  if (bitsliced) {
-    if constexpr (gf::Bitsliceable<F>) {
-      detail_seq::scan_bitsliced(g, weights, opt, f, table);
-      return table;
-    }
-  }
-  detail_seq::scan_scalar(g, weights, opt, f, table);
-  return table;
+  const std::uint32_t wmax = max_weight_sum(weights, k);
+  return FeasibilityTable::from_cells(
+      k, wmax,
+      detail_seq::scan_cells(g, {weights, nullptr, 1, wmax + 1}, opt, f));
 }
 
 }  // namespace midas::core

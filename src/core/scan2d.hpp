@@ -1,20 +1,21 @@
 // Full Problem 2 scan feasibility: heterogeneous baselines.
 //
 // The paper's Problem 2 constrains the *baseline* count: find connected S
-// maximizing F(W(S), B(S)) subject to B(S) <= k, where B is not |S| in
+// maximizing F(W(S), B(S)) subject to B(S) <= cap, where B is not |S| in
 // general. Algorithm 5 (and scan/scan_statistics.hpp) use the unit-
-// baseline shortcut B(S) = |S|. This header implements the general case:
-// the DP carries two integer weight axes — rounded baseline y and rounded
-// event weight z — per subgraph size j, and the result is the set of
-// achievable (B(S), W(S)) pairs over connected subgraphs of at most
-// `max_size` vertices. Any statistic F(W, B) is then maximized over the
-// table, with the true heterogeneous B.
+// baseline shortcut B(S) = |S|. The general case is the same layered DP
+// with one more variable in its generating function: a baseline axis of
+// height cap + 1 beside the weight axis, convolved the same way. Both
+// entries below run the scan kernels with that axis (detail_seq::scan_cells
+// and detail::LayeredRec) and OR the size layers away, leaving the set of
+// achievable (B(S), W(S)) pairs over connected subgraphs of at most k
+// vertices. Any statistic F(W, B) is then maximized over the table, with
+// the true heterogeneous B.
 //
-// Cost: O(2^s * m * s^2 * (B W)^2) per round with s = max_size — use
+// Cost: the scan's cost times (cap + 1)(cap + 2)/2 per edge row — use
 // rounded weights aggressively (scan::round_weights / step_for_total).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -26,18 +27,6 @@
 #include "util/require.hpp"
 
 namespace midas::core {
-
-struct Scan2DOptions {
-  int max_size = 4;               // max vertices per subgraph (degree bound)
-  std::uint32_t max_baseline = 8;  // the paper's "B(S) <= k" cap
-  double epsilon = 0.05;
-  std::uint64_t seed = 1;
-  int max_rounds = 0;
-
-  [[nodiscard]] int rounds() const {
-    return max_rounds > 0 ? max_rounds : rounds_for_epsilon(epsilon);
-  }
-};
 
 /// feasible[y][z] == true => a connected subgraph with at most `max_size`
 /// vertices, rounded baseline exactly y (y <= max_baseline), and rounded
@@ -51,313 +40,93 @@ struct Feasibility2D {
   [[nodiscard]] bool at(std::uint32_t y, std::uint32_t z) const {
     return y <= max_baseline && z <= max_weight && feasible[y][z];
   }
+
+  /// The table of a layered-DP run at height max_baseline + 1: cell
+  /// (y, z) is feasible when any size layer j in [1, k] hit it.
+  static Feasibility2D from_cells(int k, std::uint32_t max_baseline,
+                                  std::uint32_t max_weight,
+                                  const std::vector<std::uint8_t>& hit) {
+    Feasibility2D t{k, max_baseline, max_weight,
+                    std::vector(max_baseline + 1,
+                                std::vector<bool>(max_weight + 1, false))};
+    const std::size_t plane =
+        static_cast<std::size_t>(max_baseline + 1) * (max_weight + 1);
+    for (int j = 1; j <= k; ++j)
+      for (std::uint32_t y = 0; y <= max_baseline; ++y)
+        for (std::uint32_t z = 0; z <= max_weight; ++z)
+          if (hit[static_cast<std::size_t>(j) * plane +
+                  static_cast<std::size_t>(y) * (max_weight + 1) + z] != 0)
+            t.feasible[y][z] = true;
+    return t;
+  }
 };
 
+/// Sequential Problem 2 over connected subgraphs of at most opt.k
+/// vertices with baseline sum <= max_baseline. opt.kernel picks the scalar
+/// or bit-sliced kernel; the answer is a whole table, so a watch cell
+/// (which ends a scan at its first hit) is rejected.
 template <gf::GaloisField F>
 Feasibility2D detect_scan2d_seq(const graph::Graph& g,
                                 const std::vector<std::uint32_t>& baseline,
                                 const std::vector<std::uint32_t>& weight,
-                                const Scan2DOptions& opt, const F& f = F{}) {
-  const int s_max = opt.max_size;
-  MIDAS_REQUIRE(s_max >= 1 && s_max <= 20, "max_size must be in [1,20]");
+                                std::uint32_t max_baseline,
+                                const ScanOptions& opt, const F& f = F{}) {
+  MIDAS_REQUIRE(opt.k >= 1 && opt.k <= 20, "k must be in [1,20]");
   const graph::VertexId n = g.num_vertices();
   MIDAS_REQUIRE(baseline.size() == n && weight.size() == n,
                 "baseline and weight must have one entry per vertex");
-
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weight);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < s_max && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
-  const std::uint32_t bcap = opt.max_baseline;
-
-  Feasibility2D table;
-  table.max_size = s_max;
-  table.max_baseline = bcap;
-  table.max_weight = wmax;
-  table.feasible.assign(bcap + 1, std::vector<bool>(wmax + 1, false));
-  if (n == 0) return table;
-
-  using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << s_max;
-  const std::uint32_t bw = bcap + 1;
-  const std::uint32_t ww = wmax + 1;
-  // vals[j][((y * ww + z) * n) + i]
-  auto idx = [&](std::uint32_t y, std::uint32_t z, graph::VertexId i) {
-    return (static_cast<std::size_t>(y) * ww + z) * n + i;
-  };
-  std::vector<std::uint32_t> v(n);
-  std::vector<std::vector<V>> vals(static_cast<std::size_t>(s_max) + 1);
-  for (int j = 1; j <= s_max; ++j)
-    vals[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(bw) * ww * n, f.zero());
-  // accum[j][y * ww + z]
-  std::vector<std::vector<V>> accum(
-      static_cast<std::size_t>(s_max) + 1,
-      std::vector<V>(static_cast<std::size_t>(bw) * ww, f.zero()));
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, i, s_max);
-    for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
-
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      auto& base = vals[1];
-      std::fill(base.begin(), base.end(), f.zero());
-      for (graph::VertexId i = 0; i < n; ++i) {
-        if (baseline[i] > bcap) continue;  // vertex alone exceeds the cap
-        if (!inner_product_odd(v[i], static_cast<std::uint32_t>(t)))
-          base[idx(baseline[i], weight[i], i)] =
-              field_coeff(f, opt.seed, round, i, 1);
-      }
-      for (int j = 2; j <= s_max; ++j) {
-        auto& out = vals[static_cast<std::size_t>(j)];
-        std::fill(out.begin(), out.end(), f.zero());
-        for (graph::VertexId i = 0; i < n; ++i) {
-          for (graph::VertexId u : g.neighbors(i)) {
-            const V sig = sigma_coeff(f, opt.seed, round, i, u,
-                                      static_cast<std::uint32_t>(j));
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const auto& own = vals[static_cast<std::size_t>(j1)];
-              const auto& oth = vals[static_cast<std::size_t>(j - j1)];
-              for (std::uint32_t y = 0; y < bw; ++y) {
-                for (std::uint32_t z = 0; z < ww; ++z) {
-                  V acc = f.zero();
-                  for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
-                    for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                      const V a = own[idx(y1, z1, i)];
-                      if (a == f.zero()) continue;
-                      const V b = oth[idx(y - y1, z - z1, u)];
-                      if (b == f.zero()) continue;
-                      acc = f.add(acc, f.mul(a, b));
-                    }
-                  }
-                  if (acc != f.zero()) {
-                    auto& cell = out[idx(y, z, i)];
-                    cell = f.add(cell, f.mul(sig, acc));
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-      // Subgroup-restricted accumulation per size (see detect_seq.hpp).
-      for (int j = 1; j <= s_max; ++j) {
-        if (t >= (std::uint64_t{1} << j)) continue;
-        const auto& layer = vals[static_cast<std::size_t>(j)];
-        auto& acc = accum[static_cast<std::size_t>(j)];
-        for (std::uint32_t y = 0; y < bw; ++y) {
-          for (std::uint32_t z = 0; z < ww; ++z) {
-            V sum = f.zero();
-            for (graph::VertexId i = 0; i < n; ++i)
-              sum = f.add(sum, layer[idx(y, z, i)]);
-            acc[static_cast<std::size_t>(y) * ww + z] =
-                f.add(acc[static_cast<std::size_t>(y) * ww + z], sum);
-          }
-        }
-      }
-    }
-    for (int j = 1; j <= s_max; ++j)
-      for (std::uint32_t y = 0; y < bw; ++y)
-        for (std::uint32_t z = 0; z < ww; ++z)
-          if (accum[static_cast<std::size_t>(j)]
-                   [static_cast<std::size_t>(y) * ww + z] != f.zero())
-            table.feasible[y][z] = true;
-  }
-  return table;
+  MIDAS_REQUIRE(opt.watch_j == 0 && opt.watch_z == 0,
+                "scan2d builds the whole table: watch_j/watch_z must be 0");
+  MIDAS_REQUIRE(max_baseline < UINT32_MAX, "max_baseline + 1 must fit");
+  const std::uint32_t wmax = max_weight_sum(weight, opt.k);
+  return Feasibility2D::from_cells(
+      opt.k, max_baseline, wmax,
+      detail_seq::scan_cells(
+          g, {weight, &baseline, max_baseline + 1, wmax + 1}, opt, f));
 }
 
-/// Distributed Problem 2: the scan2d DP on the MIDAS engine. Identical
-/// table as detect_scan2d_seq (bit-identical for the same seed); messages
-/// carry both weight axes, i.e. (bcap+1)*(wmax+1)*N2 values per boundary
-/// vertex per size step.
+/// midas_scan2d's answer: the table plus the run's clocks and faults.
+struct MidasScan2DResult : Feasibility2D {
+  double vtime = 0.0;
+  double wall_s = 0.0;
+  runtime::CommStats total_stats;
+  std::vector<double> vclocks;
+  std::vector<int> failed_ranks;
+  int resumed_from_round = -1;
+};
+
+/// Distributed Problem 2 on the MIDAS engine: the scan recurrence with the
+/// baseline axis, so it masks rank kills, speculates, checkpoints and
+/// bit-slices like every other driver. The table is bit-identical to
+/// detect_scan2d_seq for the same seed; messages carry both axes, i.e.
+/// (max_baseline + 1) * (wmax + 1) * N2 values per boundary vertex per
+/// size step.
 template <gf::GaloisField F>
-Feasibility2D midas_scan2d(const graph::Graph& g,
-                           const partition::Partition& part,
-                           const std::vector<std::uint32_t>& baseline,
-                           const std::vector<std::uint32_t>& weight,
-                           const Scan2DOptions& sopt,
-                           const MidasOptions& mopt, const F& f = F{}) {
-  using V = typename F::value_type;
-  MIDAS_REQUIRE(part.parts == mopt.n1, "partition must have N1 parts");
-  const int s_max = sopt.max_size;
-  MIDAS_REQUIRE(s_max >= 1 && s_max <= 20, "max_size must be in [1,20]");
-  const graph::VertexId n = g.num_vertices();
-  MIDAS_REQUIRE(baseline.size() == n && weight.size() == n,
-                "baseline and weight must have one entry per vertex");
-  const Schedule sched =
-      make_schedule(s_max, sopt.epsilon, mopt.n_ranks, mopt.n1, mopt.n2);
+MidasScan2DResult midas_scan2d(const graph::Graph& g,
+                               const partition::Partition& part,
+                               const std::vector<std::uint32_t>& baseline,
+                               const std::vector<std::uint32_t>& weight,
+                               std::uint32_t max_baseline,
+                               const MidasOptions& opt, const F& f = F{}) {
+  detail::require_options(part.parts == opt.n1, "partition must have N1 parts");
+  detail::require_options(
+      baseline.size() == g.num_vertices() && weight.size() == g.num_vertices(),
+      "baseline and weight must have one entry per vertex");
+  MIDAS_REQUIRE(max_baseline < UINT32_MAX, "max_baseline + 1 must fit");
   const auto views = partition::build_part_views(g, part);
-
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weight);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < s_max && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
-  const std::uint32_t bw = sopt.max_baseline + 1;
-  const std::uint32_t ww = wmax + 1;
-  const std::uint32_t plane = bw * ww;
-
-  Feasibility2D table;
-  table.max_size = s_max;
-  table.max_baseline = sopt.max_baseline;
-  table.max_weight = wmax;
-  table.feasible.assign(bw, std::vector<bool>(ww, false));
-
-  std::vector<std::uint8_t> found_cells(
-      static_cast<std::size_t>(sopt.rounds()) * plane, 0);
-
-  runtime::run_spmd(mopt.n_ranks, mopt.model, [&](runtime::Comm& world) {
-    const int group_color = world.rank() / mopt.n1;
-    runtime::Comm group = world.split(group_color, world.rank() % mopt.n1);
-    const auto& view = views[static_cast<std::size_t>(group.rank())];
-    const std::uint32_t nl = view.num_local();
-    const std::uint32_t ng = view.num_ghosts();
-
-    std::vector<std::uint32_t> v(nl);
-    // vals[j][(li * plane + y*ww + z) * batch + b]; ghosts mirror.
-    std::vector<std::vector<V>> vals(static_cast<std::size_t>(s_max) + 1);
-    std::vector<std::vector<V>> ghost(static_cast<std::size_t>(s_max) + 1);
-    std::vector<V> accum(static_cast<std::size_t>(s_max + 1) * plane);
-
-    for (int round = 0; round < sopt.rounds(); ++round) {
-      for (std::uint32_t li = 0; li < nl; ++li)
-        v[li] = v_vector(sopt.seed, round, view.vertices[li], s_max);
-      std::fill(accum.begin(), accum.end(), f.zero());
-
-      for (std::uint64_t phase = group_color; phase < sched.phases();
-           phase += sched.groups()) {
-        const auto [q0, q1] = sched.phase_range(phase);
-        const std::size_t batch = q1 - q0;
-        const std::size_t stride = static_cast<std::size_t>(plane) * batch;
-        for (int j = 1; j <= s_max; ++j) {
-          vals[static_cast<std::size_t>(j)].assign(stride * nl, f.zero());
-          ghost[static_cast<std::size_t>(j)].assign(stride * ng, f.zero());
-        }
-
-        auto& base = vals[1];
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const graph::VertexId gid = view.vertices[li];
-          if (baseline[gid] >= bw) continue;
-          const V coeff = field_coeff(f, sopt.seed, round, gid, 1);
-          V* row = base.data() + li * stride +
-                   (static_cast<std::size_t>(baseline[gid]) * ww +
-                    weight[gid]) *
-                       batch;
-          for (std::size_t b = 0; b < batch; ++b) {
-            const auto q = static_cast<std::uint32_t>(q0 + b);
-            row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
-          }
-        }
-        world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-        detail::halo_exchange(group, view, vals[1], ghost[1],
-                              batch * plane);
-
-        for (int j = 2; j <= s_max; ++j) {
-          auto& out = vals[static_cast<std::size_t>(j)];
-          std::uint64_t ops = 0;
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const graph::VertexId gid = view.vertices[li];
-            const auto begin = view.adj_offsets[li];
-            const auto end = view.adj_offsets[li + 1];
-            for (auto e = begin; e < end; ++e) {
-              const auto ref = view.adj[e];
-              const bool is_ghost = ref.is_ghost();
-              const std::uint32_t idx = ref.index();
-              const graph::VertexId u_gid =
-                  is_ghost ? view.ghosts[idx] : view.vertices[idx];
-              const V sig = sigma_coeff(f, sopt.seed, round, gid, u_gid,
-                                        static_cast<std::uint32_t>(j));
-              for (int j1 = 1; j1 <= j - 1; ++j1) {
-                const V* own_vertex =
-                    vals[static_cast<std::size_t>(j1)].data() +
-                    li * stride;
-                const V* oth_vertex =
-                    (is_ghost
-                         ? ghost[static_cast<std::size_t>(j - j1)].data()
-                         : vals[static_cast<std::size_t>(j - j1)].data()) +
-                    idx * stride;
-                V* out_vertex = out.data() + li * stride;
-                for (std::uint32_t y = 0; y < bw; ++y) {
-                  for (std::uint32_t z = 0; z < ww; ++z) {
-                    V* row = out_vertex +
-                             (static_cast<std::size_t>(y) * ww + z) * batch;
-                    for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
-                      for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                        const V* a = own_vertex +
-                                     (static_cast<std::size_t>(y1) * ww +
-                                      z1) *
-                                         batch;
-                        const V* c =
-                            oth_vertex +
-                            (static_cast<std::size_t>(y - y1) * ww +
-                             (z - z1)) *
-                                batch;
-                        for (std::size_t b = 0; b < batch; ++b) {
-                          if (a[b] == f.zero() || c[b] == f.zero())
-                            continue;
-                          row[b] = f.add(row[b],
-                                         f.mul(sig, f.mul(a[b], c[b])));
-                        }
-                        ops += batch;
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-          world.charge_compute(ops);
-          if (j < s_max)
-            detail::halo_exchange(group, view,
-                                  vals[static_cast<std::size_t>(j)],
-                                  ghost[static_cast<std::size_t>(j)],
-                                  batch * plane);
-        }
-        // Subgroup-restricted accumulation per size.
-        for (int j = 1; j <= s_max; ++j) {
-          const std::uint64_t jlimit = std::uint64_t{1} << j;
-          if (q0 >= jlimit) continue;
-          const std::size_t bmax =
-              std::min<std::uint64_t>(batch, jlimit - q0);
-          const auto& layer = vals[static_cast<std::size_t>(j)];
-          V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const V* vertex = layer.data() + li * stride;
-            for (std::uint32_t cell = 0; cell < plane; ++cell) {
-              const V* row = vertex + static_cast<std::size_t>(cell) * batch;
-              for (std::size_t b = 0; b < bmax; ++b)
-                acc[cell] = f.add(acc[cell], row[b]);
-            }
-          }
-        }
-      }
-      std::vector<V> buf(accum);
-      world.allreduce<V>(std::span<V>(buf),
-                         [&f](V& a, const V& b) { a = f.add(a, b); });
-      if (world.rank() == 0) {
-        for (int j = 1; j <= s_max; ++j)
-          for (std::uint32_t cell = 0; cell < plane; ++cell)
-            if (buf[static_cast<std::size_t>(j) * plane + cell] != f.zero())
-              found_cells[static_cast<std::size_t>(round) * plane + cell] =
-                  1;
-      }
-      world.barrier();
-    }
-  });
-
-  for (int round = 0; round < sopt.rounds(); ++round)
-    for (std::uint32_t y = 0; y < bw; ++y)
-      for (std::uint32_t z = 0; z < ww; ++z)
-        if (found_cells[static_cast<std::size_t>(round) * plane + y * ww +
-                        z])
-          table.feasible[y][z] = true;
-  return table;
+  // Fingerprinted: a snapshot must not resume on other inputs or cap.
+  std::vector<std::uint64_t> in{max_baseline};
+  in.insert(in.end(), baseline.begin(), baseline.end());
+  in.insert(in.end(), weight.begin(), weight.end());
+  const detail::LayeredRec<F> rec{
+      f, opt, &weight, nullptr, runtime::fnv1a(std::as_bytes(std::span(in))),
+      &baseline, max_baseline + 1};
+  const detail::DriverRun run = detail::run_driver(views, opt, f, rec);
+  const MidasResult& r = run.result;
+  return {Feasibility2D::from_cells(opt.k, max_baseline, rec.width - 1,
+                                    run.hits()),
+          r.vtime, r.wall_s, r.total_stats, r.vclocks, r.failed_ranks,
+          r.resumed_from_round};
 }
 
 /// Maximize an arbitrary F(W, B) over the feasible (B, W) cells. `score`

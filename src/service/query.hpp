@@ -147,8 +147,10 @@ class QueryValidationError : public ServiceError {
       : ServiceError("invalid query: " + field + ": " + what),
         field_(field) {}
   /// The QuerySpec member that failed validation ("epsilon",
-  /// "max_rounds", "k", "field_bits", "n_ranks", "n1", "n2", "tree_edges",
-  /// "tree_root", "weights", "colors", "motif").
+  /// "max_rounds", "k", "field_bits", "n_ranks", "n1", "n2", "timeout_s",
+  /// "retry.max_attempts", "retry.base_backoff_s", "retry.max_backoff_s",
+  /// "retry.multiplier", "retry.jitter", "tree_edges", "tree_root",
+  /// "weights", "colors", "motif").
   [[nodiscard]] const std::string& field() const noexcept { return field_; }
 
  private:
@@ -162,6 +164,12 @@ class ServiceShutdownError : public ServiceError {
   ServiceShutdownError()
       : ServiceError("service shut down before the query ran") {}
 };
+
+/// Admission caps on the serving fields (DetectionService::validate): every
+/// deadline and backoff must fit a steady_clock duration.
+inline constexpr double kMaxTimeoutS = 86400.0;  // one day
+inline constexpr double kMaxBackoffS = 3600.0;   // base and max backoff
+inline constexpr int kMaxAttempts = 100;         // retry.max_attempts
 
 /// Per-query retry budget and backoff shape (service/resilience.hpp).
 /// Retries apply only to failures classified retryable (injected faults,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -285,6 +286,28 @@ void DetectionService::validate(const QuerySpec& spec,
   if (spec.n1 < 1 || spec.n_ranks < spec.n1 || spec.n_ranks % spec.n1 != 0)
     throw QueryValidationError("n1", "N1 must divide N");
   if (spec.n2 < 1) throw QueryValidationError("n2", "N2 must be >= 1");
+  // Serving fields: a deadline or backoff becomes a steady_clock duration,
+  // so each must be finite and bounded (a NaN or negative timeout would
+  // otherwise read as "no deadline").
+  auto up_to = [](double cap) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "must be in [0, %g]", cap);
+    return std::string(buf);
+  };
+  if (!(spec.timeout_s >= 0.0 && spec.timeout_s <= kMaxTimeoutS))
+    throw QueryValidationError("timeout_s", up_to(kMaxTimeoutS));
+  const RetryPolicy& rp = spec.retry;
+  if (rp.max_attempts < 0 || rp.max_attempts > kMaxAttempts)
+    throw QueryValidationError("retry.max_attempts", up_to(kMaxAttempts));
+  for (const auto& [field, s] :
+       {std::pair{"retry.base_backoff_s", rp.base_backoff_s},
+        std::pair{"retry.max_backoff_s", rp.max_backoff_s}})
+    if (!(s >= 0.0 && s <= kMaxBackoffS))
+      throw QueryValidationError(field, up_to(kMaxBackoffS));
+  if (!(rp.multiplier >= 1.0 && std::isfinite(rp.multiplier)))
+    throw QueryValidationError("retry.multiplier", "must be finite and >= 1");
+  if (!(rp.jitter >= 0.0 && rp.jitter <= 1.0))
+    throw QueryValidationError("retry.jitter", "must be in [0, 1]");
   if (spec.type == QueryType::kTree) {
     const auto k = static_cast<std::uint32_t>(spec.k);
     if (spec.tree_edges.size() + 1 != k)

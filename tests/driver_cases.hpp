@@ -1,6 +1,7 @@
-// The five distributed detection drivers behind one call, for tests that
-// check a property of every driver: each case runs its driver on a fixed
-// small input and reduces the answer to comparable values.
+// Every distributed detection driver behind one call (path, tree, scan,
+// Problem 2 scan, motif, weighted path), for tests that check a property
+// of every driver: each case runs its driver on a fixed small input and
+// reduces the answer to comparable values.
 #pragma once
 
 #include <functional>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/detect_par.hpp"
+#include "core/scan2d.hpp"
 #include "gf/gf256.hpp"
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
@@ -18,8 +20,8 @@ namespace midas::core::testing {
 
 /// What a driver run returns, in a form every driver can fill. `answer`
 /// holds found/found_round (path, tree, motif), the feasibility table bits
-/// (scan) or the feasible weights (weighted); weighted runs report no
-/// per-rank clocks.
+/// (scan, scan2d) or the feasible weights (weighted); weighted runs report
+/// no per-rank clocks.
 struct DriverOutcome {
   std::vector<int> answer;
   double vtime = 0.0;
@@ -49,7 +51,7 @@ inline std::vector<DriverCase> driver_cases(std::uint64_t seed = 2024) {
   struct Input {
     gf::GF256 f;
     graph::Graph g, tmpl;
-    std::vector<std::uint32_t> weights, colors;
+    std::vector<std::uint32_t> weights, colors, baselines;
     std::vector<std::uint32_t> motif{0, 0, 1, 2};
   };
   auto in = std::make_shared<Input>();
@@ -60,6 +62,10 @@ inline std::vector<DriverCase> driver_cases(std::uint64_t seed = 2024) {
     in->weights.push_back(static_cast<std::uint32_t>(rng.below(3)));
     in->colors.push_back(static_cast<std::uint32_t>(rng.below(3)));
   }
+  // Problem 2 baselines in [1, 3]: heterogeneous, with a cap (4) below
+  // the largest baseline sum of k = 4 vertices.
+  for (graph::VertexId v = 0; v < in->g.num_vertices(); ++v)
+    in->baselines.push_back(1 + static_cast<std::uint32_t>(rng.below(3)));
   auto part = [in](const MidasOptions& o) {
     return partition::block_partition(in->g, o.n1);
   };
@@ -83,6 +89,20 @@ inline std::vector<DriverCase> driver_cases(std::uint64_t seed = 2024) {
                            r.resumed_from_round,
                            r.total_stats.stragglers_flagged};
          for (const auto& row : r.table.feasible)
+           out.answer.insert(out.answer.end(), row.begin(), row.end());
+         return out;
+       }},
+      {"scan2d",
+       [in, part](const MidasOptions& o) {
+         const auto r = midas_scan2d(in->g, part(o), in->baselines,
+                                     in->weights, /*max_baseline=*/4, o, in->f);
+         DriverOutcome out{{},
+                           r.vtime,
+                           r.vclocks,
+                           r.failed_ranks,
+                           r.resumed_from_round,
+                           r.total_stats.stragglers_flagged};
+         for (const auto& row : r.feasible)
            out.answer.insert(out.answer.end(), row.begin(), row.end());
          return out;
        }},

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -1018,6 +1019,31 @@ TEST_F(NetCorruptionTest, UnknownMotifColorIsTypedValidationError) {
   EXPECT_EQ(e.code, net::ErrorCode::kValidation);
   EXPECT_EQ(e.s1, "motif");
   EXPECT_TRUE(raw_ping_ok(fd, 32));
+  ::close(fd);
+}
+
+TEST_F(NetCorruptionTest, NanTimeoutIsTypedValidationError) {
+  // A NaN deadline frames cleanly; admission rejects it by field name
+  // instead of reading it as "no deadline".
+  svc_->add_graph("g", service::build_graph(demo_graph("g")));
+  const int fd = raw_connect(server_->port());
+  ASSERT_GE(fd, 0);
+  QuerySpec q = path_query("g");
+  q.timeout_s = std::numeric_limits<double>::quiet_NaN();
+  net::WireWriter w;
+  net::encode_query(w, q);
+  const auto frame =
+      net::make_frame(net::FrameType::kQueryReq, 41, 0, w.take());
+  ASSERT_TRUE(send_all(fd, frame.data(), frame.size()));
+
+  RawFrame resp;
+  ASSERT_TRUE(recv_frame(fd, resp));
+  EXPECT_EQ(resp.h.type, static_cast<std::uint16_t>(net::FrameType::kError));
+  EXPECT_EQ(resp.h.msg_id, 41u);
+  const net::ErrorFrame e = decode_error_body(resp);
+  EXPECT_EQ(e.code, net::ErrorCode::kValidation);
+  EXPECT_EQ(e.s1, "timeout_s");
+  EXPECT_TRUE(raw_ping_ok(fd, 42));
   ::close(fd);
 }
 

@@ -475,6 +475,39 @@ TEST(DetectionService, ValidationErrors) {
   q.tree_edges = {{0, 1}, {1, 2}, {2, 3}};
   q.tree_root = 4;
   expect_field(q, "tree_root");
+
+  // Serving fields: a NaN or negative timeout is not "no deadline", and
+  // nothing past a cap may reach a clock duration.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {nan, -5.0, inf, service::kMaxTimeoutS * 2}) {
+    q = path_query();
+    q.timeout_s = t;
+    expect_field(q, "timeout_s");
+  }
+  for (int a : {-1, service::kMaxAttempts + 1}) {
+    q = path_query();
+    q.retry.max_attempts = a;
+    expect_field(q, "retry.max_attempts");
+  }
+  for (double b : {nan, -1e-3, inf, service::kMaxBackoffS * 2}) {
+    q = path_query();
+    q.retry.base_backoff_s = b;
+    expect_field(q, "retry.base_backoff_s");
+    q = path_query();
+    q.retry.max_backoff_s = b;
+    expect_field(q, "retry.max_backoff_s");
+  }
+  for (double m : {nan, 0.5, inf}) {
+    q = path_query();
+    q.retry.multiplier = m;
+    expect_field(q, "retry.multiplier");
+  }
+  for (double j : {nan, -0.1, 1.5}) {
+    q = path_query();
+    q.retry.jitter = j;
+    expect_field(q, "retry.jitter");
+  }
 }
 
 TEST(DetectionService, ShutdownFailsQueuedQueries) {
