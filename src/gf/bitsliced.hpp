@@ -26,6 +26,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 
 #include "gf/field.hpp"
 #include "gf/polynomials.hpp"
@@ -80,6 +81,38 @@ decltype(auto) dispatch_width(int l, Fn&& fn) {
     case 15: return fn(std::integral_constant<int, 15>{});
     default: return fn(std::integral_constant<int, 16>{});
   }
+}
+
+// Transposes between `lanes` <= 64 lane values (one byte or one 16-bit
+// word each) and the l bit-planes of a block; pack clears the lanes past
+// `lanes`, unpack writes exactly `lanes` values. Two implementations of
+// each: 8x8 delta-swap bit-matrix transposes on plain 64-bit words, and
+// AVX-512BW byte/word masks (one masked load plus one test mask per plane
+// to pack, one masked broadcast per plane plus one masked store to
+// unpack). BitslicedGF::pack_lanes/unpack_lanes pick one per host.
+void pack_swap(std::uint64_t* block, const std::uint8_t* vals, int lanes,
+               int l) noexcept;
+void pack_swap(std::uint64_t* block, const std::uint16_t* vals, int lanes,
+               int l) noexcept;
+void unpack_swap(std::uint8_t* vals, const std::uint64_t* block, int lanes,
+                 int l) noexcept;
+void unpack_swap(std::uint16_t* vals, const std::uint64_t* block, int lanes,
+                 int l) noexcept;
+void pack_avx512(std::uint64_t* block, const std::uint8_t* vals, int lanes,
+                 int l) noexcept;
+void pack_avx512(std::uint64_t* block, const std::uint16_t* vals, int lanes,
+                 int l) noexcept;
+void unpack_avx512(std::uint8_t* vals, const std::uint64_t* block, int lanes,
+                   int l) noexcept;
+void unpack_avx512(std::uint16_t* vals, const std::uint64_t* block,
+                   int lanes, int l) noexcept;
+
+/// Whether the host runs the AVX-512BW transposes. Asked of the CPU once.
+bool detect_avx512_transposes() noexcept;
+
+[[nodiscard]] inline bool avx512_transposes() noexcept {
+  static const bool yes = detect_avx512_transposes();
+  return yes;
 }
 
 }  // namespace detail_bs
@@ -227,25 +260,28 @@ class BitslicedGF {
   }
 
   /// Scatter `lanes` scalar values into a block's bit-planes (lanes beyond
-  /// the count are cleared). Used to rebuild ghost blocks from the scalar
+  /// the count are cleared). Used to rebuild ghost blocks from the byte-row
   /// halo payload.
   template <typename Vt>
   void pack_lanes(word* block, const Vt* vals, int lanes) const noexcept {
-    clear(block);
-    for (int b = 0; b < lanes; ++b) {
-      std::uint32_t x = vals[b];
-      while (x != 0) {
-        block[std::countr_zero(x)] |= word{1} << b;
-        x &= x - 1;
-      }
-    }
+    static_assert(std::is_same_v<Vt, std::uint8_t> ||
+                  std::is_same_v<Vt, std::uint16_t>);
+    if (detail_bs::avx512_transposes())
+      detail_bs::pack_avx512(block, vals, lanes, l_);
+    else
+      detail_bs::pack_swap(block, vals, lanes, l_);
   }
 
   /// Gather `lanes` scalar values out of a block's bit-planes. Used to
-  /// serialize boundary blocks into the scalar halo payload.
+  /// serialize boundary blocks into the byte-row halo payload.
   template <typename Vt>
   void unpack_lanes(Vt* vals, const word* block, int lanes) const noexcept {
-    for (int b = 0; b < lanes; ++b) vals[b] = static_cast<Vt>(lane(block, b));
+    static_assert(std::is_same_v<Vt, std::uint8_t> ||
+                  std::is_same_v<Vt, std::uint16_t>);
+    if (detail_bs::avx512_transposes())
+      detail_bs::unpack_avx512(vals, block, lanes, l_);
+    else
+      detail_bs::unpack_swap(vals, block, lanes, l_);
   }
 
   void set_lane(word* x, int b, value_type v) const noexcept {

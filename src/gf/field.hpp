@@ -58,16 +58,27 @@ void scale_add_row(const F& f, typename F::value_type* dst,
   }
 }
 
-/// dst[q] += a[q] * b[q], via the field's pointwise primitive when present.
+/// dst[q] += sum_{i <= z} a_i[q] * b_{z-i}[q] over rows x_i = x + i n (z = 0:
+/// one pointwise product), via the field's convolution primitive
+/// (GF256::mul_add_conv) or pointwise primitive when present.
 template <DetectionAlgebra F>
 void mul_add_rows(const F& f, typename F::value_type* dst,
                   const typename F::value_type* a,
-                  const typename F::value_type* b, std::size_t n) {
-  if constexpr (requires { f.mul_add_pointwise(dst, a, b, n); }) {
-    f.mul_add_pointwise(dst, a, b, n);
+                  const typename F::value_type* b, std::size_t z,
+                  std::size_t n) {
+  if constexpr (requires { f.mul_add_conv(dst, a, b, z, n); }) {
+    f.mul_add_conv(dst, a, b, z, n);
   } else {
-    for (std::size_t q = 0; q < n; ++q)
-      dst[q] = f.add(dst[q], f.mul(a[q], b[q]));
+    for (std::size_t i = 0; i <= z; ++i) {
+      const auto* x = a + i * n;
+      const auto* y = b + (z - i) * n;
+      if constexpr (requires { f.mul_add_pointwise(dst, x, y, n); }) {
+        f.mul_add_pointwise(dst, x, y, n);
+      } else {
+        for (std::size_t q = 0; q < n; ++q)
+          dst[q] = f.add(dst[q], f.mul(x[q], y[q]));
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Field axioms and arithmetic identities for every detection algebra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -99,6 +100,92 @@ TEST(GF256, PointwiseOpsMatchScalar) {
   for (std::size_t i = 0; i < b.size(); ++i) expect2[i] = f.mul(s, b[i]);
   f.axpy(dst2.data(), s, b.data(), dst2.size());
   EXPECT_EQ(dst2, expect2);
+}
+
+// The GFNI rows are checked against the table rows, each called by name;
+// GF256's own members pick one of them per host.
+
+TEST(GF256Rows, GfniProductsEqualTableProductsExhaustively) {
+  if (!gfni_rows()) GTEST_SKIP() << "host has no GFNI with AVX-512BW/VL";
+  GF256 f;
+  // Row a holds every byte; row b one byte repeated: 256 x 256 products.
+  std::vector<std::uint8_t> a(256), b(256), dst(256);
+  for (int x = 0; x < 256; ++x) a[static_cast<std::size_t>(x)] =
+      static_cast<std::uint8_t>(x);
+  for (int y = 0; y < 256; ++y) {
+    std::fill(b.begin(), b.end(), static_cast<std::uint8_t>(y));
+    std::fill(dst.begin(), dst.end(), std::uint8_t{0});
+    detail256::mul_add_gfni(dst.data(), a.data(), b.data(), dst.size());
+    for (int x = 0; x < 256; ++x)
+      ASSERT_EQ(dst[static_cast<std::size_t>(x)],
+                f.mul(static_cast<std::uint8_t>(x),
+                      static_cast<std::uint8_t>(y)))
+          << x << " * " << y;
+    std::fill(dst.begin(), dst.end(), std::uint8_t{0});
+    detail256::axpy_gfni(dst.data(), static_cast<std::uint8_t>(y), a.data(),
+                         dst.size());
+    for (int x = 0; x < 256; ++x)
+      ASSERT_EQ(dst[static_cast<std::size_t>(x)],
+                f.mul(static_cast<std::uint8_t>(y),
+                      static_cast<std::uint8_t>(x)))
+          << y << " * " << x;
+  }
+}
+
+/// Random bytes, with a run of zeros so the table rows' zero skips run.
+std::vector<std::uint8_t> random_bytes(std::size_t n, Xoshiro256& rng) {
+  std::vector<std::uint8_t> v(n);
+  for (auto& x : v) x = static_cast<std::uint8_t>(rng() & 0xFF);
+  for (std::size_t i = n / 3; i < n / 3 + 4 && i < n; ++i) v[i] = 0;
+  return v;
+}
+
+TEST(GF256Rows, GfniRowsEqualTableRowsAtEveryLengthAndOffset) {
+  if (!gfni_rows()) GTEST_SKIP() << "host has no GFNI with AVX-512BW/VL";
+  Xoshiro256 rng(16);
+  constexpr std::size_t kMax = 130, kPad = 3;
+  for (std::size_t n = 0; n <= kMax; ++n)
+    for (std::size_t off = 0; off < kPad; ++off) {
+      // Rows start `off` bytes into their buffers (unaligned), and the
+      // bytes around each row must stay untouched.
+      const auto a = random_bytes(n + 2 * kPad, rng);
+      const auto b = random_bytes(3 * (n + 2 * kPad), rng);
+      const auto dst0 = random_bytes(n + 2 * kPad, rng);
+      const std::uint8_t s = static_cast<std::uint8_t>(rng() & 0xFF);
+      auto table = dst0, gfni = dst0;
+      detail256::mul_add_table(table.data() + off, a.data() + off,
+                               b.data() + off, n);
+      detail256::mul_add_gfni(gfni.data() + off, a.data() + off,
+                              b.data() + off, n);
+      ASSERT_EQ(gfni, table) << "mul_add n=" << n << " off=" << off;
+      table = gfni = dst0;
+      detail256::axpy_table(table.data() + off, s, b.data() + off, n);
+      detail256::axpy_gfni(gfni.data() + off, s, b.data() + off, n);
+      ASSERT_EQ(gfni, table) << "axpy n=" << n << " off=" << off;
+      // The convolution of three row pairs (rows of b are n apart).
+      table = gfni = dst0;
+      std::vector<std::uint8_t> a3(3 * n + kPad);
+      for (auto& x : a3) x = static_cast<std::uint8_t>(rng() & 0xFF);
+      detail256::mul_add_conv_table(table.data() + off, a3.data() + off,
+                                    b.data() + off, 2, n);
+      detail256::mul_add_conv_gfni(gfni.data() + off, a3.data() + off,
+                                   b.data() + off, 2, n);
+      ASSERT_EQ(gfni, table) << "conv n=" << n << " off=" << off;
+    }
+}
+
+TEST(GF256Rows, TableConvolutionIsASumOfProducts) {
+  GF256 f;
+  Xoshiro256 rng(17);
+  const std::size_t n = 19, z = 3;
+  const auto a = random_bytes((z + 1) * n, rng);
+  const auto b = random_bytes((z + 1) * n, rng);
+  std::vector<std::uint8_t> dst(n, 0), expect(n, 0);
+  for (std::size_t i = 0; i <= z; ++i)
+    for (std::size_t q = 0; q < n; ++q)
+      expect[q] ^= f.mul(a[i * n + q], b[(z - i) * n + q]);
+  detail256::mul_add_conv_table(dst.data(), a.data(), b.data(), z, n);
+  EXPECT_EQ(dst, expect);
 }
 
 class GFSmallParam : public ::testing::TestWithParam<int> {};

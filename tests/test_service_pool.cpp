@@ -110,9 +110,9 @@ graph::Graph make_graph(int i) {
 
 QuerySpec draw_query(Xoshiro256& rng, int qi) {
   QuerySpec q;
-  const std::uint64_t t = rng.below(3);
-  q.type = t == 0 ? QueryType::kTree
-                  : (t == 1 ? QueryType::kScan : QueryType::kPath);
+  constexpr QueryType kTypes[] = {QueryType::kTree, QueryType::kScan,
+                                  QueryType::kPath, QueryType::kMotif};
+  q.type = kTypes[rng.below(4)];
   q.graph = graph_name(static_cast<int>(rng.below(2)));
   q.lane = rng.below(2) == 0 ? Lane::kInteractive : Lane::kBatch;
   q.k = 3 + static_cast<int>(rng.below(2));
@@ -179,6 +179,14 @@ QueryResult reference_run(const graph::Graph& g, const QuerySpec& q) {
         out.vtime = r.vtime;
         break;
       }
+      case QueryType::kMotif: {
+        const auto r = core::midas_motif(g, part, q.colors, q.motif, opt, f);
+        out.found = r.found;
+        out.rounds_run = r.rounds_run;
+        out.found_round = r.found_round;
+        out.vtime = r.vtime;
+        break;
+      }
     }
   };
   if (q.field_bits == 8)
@@ -194,6 +202,21 @@ std::vector<std::uint32_t> draw_weights(std::uint32_t n,
   std::vector<std::uint32_t> w(n);
   for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(4));
   return w;
+}
+
+/// Scan weights, or motif colors plus a multiset sampled from the coloring
+/// itself (so that it is color-feasible), for the query's graph.
+void add_payload(QuerySpec& q, const std::vector<graph::Graph>& graphs,
+                 Xoshiro256& rng) {
+  const auto n = graphs[static_cast<std::size_t>(q.graph[1] - '0')]
+                     .num_vertices();
+  if (q.type == QueryType::kScan) q.weights = draw_weights(n, q.seed);
+  if (q.type == QueryType::kMotif) {
+    q.colors = draw_weights(n, q.seed);
+    for (auto& c : q.colors) c %= 3;
+    for (int i = 0; i < q.k; ++i)
+      q.motif.push_back(q.colors[rng.below(q.colors.size())]);
+  }
 }
 
 TEST(ServicePool, PooledPathBitIdenticalToFreshSpawnAcross120Queries) {
@@ -213,10 +236,7 @@ TEST(ServicePool, PooledPathBitIdenticalToFreshSpawnAcross120Queries) {
   std::vector<QuerySpec> specs;
   for (int qi = 0; qi < kQueries; ++qi) {
     QuerySpec q = draw_query(rng, qi);
-    if (q.type == QueryType::kScan) {
-      const auto gi = static_cast<std::size_t>(q.graph[1] - '0');
-      q.weights = draw_weights(graphs[gi].num_vertices(), q.seed);
-    }
+    add_payload(q, graphs, rng);
     specs.push_back(std::move(q));
   }
 
@@ -330,10 +350,7 @@ TEST(ServicePool, WorkerKillSelfHealsOnPooledPathAndStaysBitExact) {
   std::vector<QuerySpec> specs;
   for (int qi = 0; qi < 40; ++qi) {
     QuerySpec q = draw_query(rng, qi);
-    if (q.type == QueryType::kScan) {
-      const auto gi = static_cast<std::size_t>(q.graph[1] - '0');
-      q.weights = draw_weights(graphs[gi].num_vertices(), q.seed);
-    }
+    add_payload(q, graphs, rng);
     specs.push_back(std::move(q));
   }
   std::vector<std::shared_future<QueryResult>> futs;
