@@ -93,6 +93,7 @@ struct MidasScan2DResult : Feasibility2D {
   std::vector<double> vclocks;
   std::vector<int> failed_ranks;
   int resumed_from_round = -1;
+  Kernel kernel = Kernel::kScalar;  // the kernel the run resolved to
 };
 
 /// Distributed Problem 2 on the MIDAS engine: the scan recurrence with the
@@ -126,7 +127,7 @@ MidasScan2DResult midas_scan2d(const graph::Graph& g,
   return {Feasibility2D::from_cells(opt.k, max_baseline, rec.width - 1,
                                     run.hits()),
           r.vtime, r.wall_s, r.total_stats, r.vclocks, r.failed_ranks,
-          r.resumed_from_round};
+          r.resumed_from_round, r.kernel};
 }
 
 /// Maximize an arbitrary F(W, B) over the feasible (B, W) cells. `score`

@@ -362,6 +362,9 @@ struct QueryResult {
   core::FeasibilityTable table;  // scan only; empty otherwise
 
   double vtime = 0.0;        // modeled parallel makespan of the engine run
+  // The kernel the engine resolved the spec's request to; the audit reruns
+  // on the other one. In-process only: the wire codec does not carry it.
+  core::Kernel kernel = core::Kernel::kScalar;
   double engine_wall_s = 0.0;  // host wall-clock inside the engine
   double queue_s = 0.0;        // submit -> execution start
   double total_s = 0.0;        // submit -> completion
